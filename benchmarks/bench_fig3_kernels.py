@@ -1,8 +1,9 @@
 """Figure 3 — single-node kernel performance, all tiers x SRT/TRT.
 
-Measures the real NumPy kernels on this host and prints the ECM-model
-node curves for SuperMUC and JUQUEEN.  Paper shape: generic < D3Q19 <
-SIMD/vectorized, and TRT matches SRT for the fastest tier.
+Measures the real kernels on this host (the NumPy tiers and the
+generated, compiled one) and prints the ECM-model node curves for
+SuperMUC and JUQUEEN.  Paper shape: generic < D3Q19 < SIMD, and TRT
+matches SRT for the fastest tier.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ def _setup(tier, collision):
     return kern, src, dst
 
 
-@pytest.mark.parametrize("tier", ["generic", "d3q19", "vectorized"])
+@pytest.mark.parametrize("tier", ["generic", "d3q19", "vectorized", "compiled"])
 @pytest.mark.parametrize("collision", [SRT(0.8), TRT.from_tau(0.8)], ids=["srt", "trt"])
 def test_kernel_tier(benchmark, tier, collision):
     kern, src, dst = _setup(tier, collision)

@@ -39,15 +39,12 @@ from ..lbm.boundary import BoundaryHandling, Condition, NoSlip
 from ..lbm.collision import SRT, TRT
 from ..lbm.kernels.common import box_cells, interior_partition
 from ..lbm.kernels.registry import (
+    DEFAULT_DENSE_TIER,
+    DEFAULT_SPARSE_TIER,
     KERNEL_TIERS,
     instrument_kernel,
     make_kernel,
     run_kernel_on_region,
-)
-from ..lbm.kernels.sparse import (
-    ConditionalSparseKernel,
-    IndexListSparseKernel,
-    IntervalSparseKernel,
 )
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..lbm.macroscopic import density as _density, velocity as _velocity
@@ -81,13 +78,6 @@ def _handler_writes_ghosts(handler: BoundaryHandling) -> bool:
             if links.wall.size and bool(ghost_flat[links.wall].any()):
                 return True
     return False
-
-
-_SPARSE = {
-    "conditional": ConditionalSparseKernel,
-    "indexlist": IndexListSparseKernel,
-    "interval": IntervalSparseKernel,
-}
 
 
 def default_vascular_colors() -> ColorMap:
@@ -126,8 +116,8 @@ def build_block_runtime(
     flag_setter: Optional[Callable[[LocalBlock, FlagField], None]] = None,
     colors: Optional[ColorMap] = None,
     model: LatticeModel = D3Q19,
-    dense_kernel: str = "vectorized",
-    sparse_kernel: str = "interval",
+    dense_kernel: str = DEFAULT_DENSE_TIER,
+    sparse_kernel: str = DEFAULT_SPARSE_TIER,
 ) -> BlockRuntime:
     """Construct one block's runtime state (flags, fields, kernel, BCs).
 
@@ -149,17 +139,15 @@ def build_block_runtime(
     ff.validate_exclusive()
     field = PdfField(model, blk.cells)
     field.set_equilibrium()
-    mask = ff.fluid_mask()
     if bool((ff.interior == fl.OUTSIDE).any()):
         if model.name != "D3Q19":
             raise ConfigurationError("sparse kernels require D3Q19")
-        kernel = _SPARSE[sparse_kernel](mask, collision)
-        kernel_name = sparse_kernel
+        tier = sparse_kernel
     else:
-        kernel = make_kernel(dense_kernel, model, collision, blk.cells)
-        kernel_name = dense_kernel
+        tier = dense_kernel
+    kernel = make_kernel(tier, model, collision, blk.cells, mask=ff.fluid_mask())
     handler = BoundaryHandling(model, ff, conditions)
-    return BlockRuntime(ff, field, kernel, handler, kernel_name)
+    return BlockRuntime(ff, field, kernel, handler, kernel.name)
 
 
 class DistributedSimulation:
@@ -211,10 +199,11 @@ class DistributedSimulation:
         ``workers`` threads — the OpenMP axis of the paper's hybrid
         aPbT configurations.  Work items are whole blocks when there
         are at least as many blocks as workers, and interior *slabs* of
-        dense blocks otherwise (the single-large-block regime).  NumPy
-        releases the GIL inside the kernels, so work items genuinely
-        execute concurrently, and results are bit-identical to serial
-        runs for every worker count.  ``None`` (default) selects
+        dense blocks otherwise (the single-large-block regime).  The
+        default ``compiled`` kernel releases the GIL for the whole
+        call, so work items genuinely execute concurrently, and
+        results are bit-identical to serial runs for every worker
+        count.  ``None`` (default) selects
         ``"threads"`` when ``workers > 1``.
     workers:
         Worker threads for ``exec_mode="threads"``.
@@ -234,8 +223,8 @@ class DistributedSimulation:
         periodic: Tuple[bool, bool, bool] = (False, False, False),
         colors: Optional[ColorMap] = None,
         model: LatticeModel = D3Q19,
-        dense_kernel: str = "vectorized",
-        sparse_kernel: str = "interval",
+        dense_kernel: str = DEFAULT_DENSE_TIER,
+        sparse_kernel: str = DEFAULT_SPARSE_TIER,
         filtered_communication: bool = False,
         comm_mode: str = "per-face",
         threads: int = 1,

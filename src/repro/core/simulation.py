@@ -19,15 +19,12 @@ from ..lbm.forcing import ConstantBodyForce
 from ..lbm.collision import SRT, TRT
 from ..lbm.kernels.common import box_cells
 from ..lbm.kernels.registry import (
+    DEFAULT_DENSE_TIER,
+    DEFAULT_SPARSE_TIER,
     KERNEL_TIERS,
-    instrument_kernel,
+    SPARSE_TIERS,
     make_kernel,
     run_kernel_on_region,
-)
-from ..lbm.kernels.sparse import (
-    ConditionalSparseKernel,
-    IndexListSparseKernel,
-    IntervalSparseKernel,
 )
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..lbm.macroscopic import density as _density, velocity as _velocity
@@ -39,12 +36,6 @@ from .timeloop import TimeLoop
 __all__ = ["Simulation"]
 
 Collision = Union[SRT, TRT]
-
-_SPARSE_KERNELS = {
-    "conditional": ConditionalSparseKernel,
-    "indexlist": IndexListSparseKernel,
-    "interval": IntervalSparseKernel,
-}
 
 
 class Simulation:
@@ -68,10 +59,12 @@ class Simulation:
     model:
         Lattice model (default D3Q19, like every run in the paper).
     kernel:
-        Kernel tier name (``generic`` / ``d3q19`` / ``vectorized``) or a
-        sparse strategy name (``conditional`` / ``indexlist`` /
-        ``interval``).  ``None`` selects ``vectorized`` for fully fluid
-        interiors and ``interval`` when OUTSIDE cells are present.
+        Kernel tier name (``generic`` / ``d3q19`` / ``vectorized`` /
+        ``compiled``) or a sparse strategy name (``conditional`` /
+        ``indexlist`` / ``interval``).  ``None`` selects the registry's
+        default dense tier (``compiled``) for fully fluid interiors and
+        its default sparse tier (``interval``) when OUTSIDE cells are
+        present.
     body_force:
         Optional constant body force (lattice units per cell per step),
         applied to fluid cells as an extra sweep.
@@ -158,23 +151,20 @@ class Simulation:
 
         name = self.kernel_name
         if name is None:
-            name = "interval" if has_outside else "vectorized"
-        if name in _SPARSE_KERNELS:
-            if self.model.name != "D3Q19":
-                raise ConfigurationError("sparse kernels require D3Q19")
-            self._kernel = instrument_kernel(
-                _SPARSE_KERNELS[name](fluid, self.collision), tree, name
+            name = DEFAULT_SPARSE_TIER if has_outside else DEFAULT_DENSE_TIER
+        if name in SPARSE_TIERS and self.model.name != "D3Q19":
+            raise ConfigurationError("sparse kernels require D3Q19")
+        if name not in SPARSE_TIERS and has_outside:
+            raise ConfigurationError(
+                f"dense kernel {name!r} on a block with OUTSIDE cells; "
+                "use a sparse strategy (conditional/indexlist/interval)"
             )
-        else:
-            if has_outside:
-                raise ConfigurationError(
-                    f"dense kernel {name!r} on a block with OUTSIDE cells; "
-                    "use a sparse strategy (conditional/indexlist/interval)"
-                )
-            self._kernel = make_kernel(
-                name, self.model, self.collision, self.cells, tree=tree
-            )
-        self.kernel_name = name
+        self._kernel = make_kernel(
+            name, self.model, self.collision, self.cells, tree=tree, mask=fluid
+        )
+        # The tier actually built (``compiled`` falls back to
+        # ``vectorized`` where no C compiler works).
+        name = self.kernel_name = self._kernel.name
 
         # Intra-rank sweep engine: the kernel sweep becomes a round of
         # independent SweepTasks — whole-field for sparse strategies

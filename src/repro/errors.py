@@ -62,3 +62,14 @@ class ConfigurationError(ReproError):
 
 class NumericalError(ReproError):
     """The simulation diverged (NaN/Inf PDFs or unstable velocities)."""
+
+
+class KernelBuildError(ReproError):
+    """A compiled kernel tier could not be generated, compiled or loaded
+    on this host (no C compiler, compiler failure, unloadable artifact).
+    The kernel registry catches it and falls back to a NumPy tier."""
+
+
+class KernelLayoutError(ReproError, ValueError):
+    """Kernel arguments have the wrong dtype or memory layout (e.g. a
+    float32 field, or a non-unit stride on the innermost axis)."""

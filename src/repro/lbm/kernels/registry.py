@@ -1,14 +1,22 @@
 """Kernel registry: construct any kernel tier by name.
 
-Mirrors the paper's three optimization stages (§4.1, Figure 3) plus the
-pure-Python reference used only for verification:
+Mirrors the paper's three optimization stages (§4.1, Figure 3), the
+pure-Python reference used only for verification, and the compiled tier
+generated from the lattice tables:
 
 ==============  =====================================================
 ``reference``   per-cell Python loops (ground truth, tests only)
 ``generic``     any lattice model, separate stream/collide passes
 ``d3q19``       model-specialized, fused, common subexpressions
-``vectorized``  SoA split-loop, allocation-free (the "SIMD" analog)
+``vectorized``  SoA split-loop, allocation-free (the NumPy "SIMD" analog)
+``compiled``    generated C, SIMD-compiled, GIL-free; bit-identical to
+                ``vectorized`` (the default dense tier)
 ==============  =====================================================
+
+It also builds the sparse-block strategies of §4.3 (``conditional`` /
+``indexlist`` / ``interval``), which need the block's fluid mask.  The
+default tier decisions live here: :data:`DEFAULT_DENSE_TIER` for fully
+fluid blocks, :data:`DEFAULT_SPARSE_TIER` for blocks with OUTSIDE cells.
 """
 
 from __future__ import annotations
@@ -24,12 +32,19 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     # is duck-typed at runtime anyway.
     from ...perf.timing import TimingTree
 
+from ...errors import KernelBuildError
 from ..collision import SRT, TRT
-from ..lattice import D3Q19, LatticeModel
+from ..lattice import LatticeModel
 from .common import Box, region_view
+from .compiled import CompiledD3Q19Kernel
 from .d3q19 import d3q19_step
 from .generic import generic_step
 from .reference import reference_step
+from .sparse import (
+    ConditionalSparseKernel,
+    IndexListSparseKernel,
+    IntervalSparseKernel,
+)
 from .vectorized import VectorizedD3Q19Kernel
 
 __all__ = [
@@ -37,14 +52,34 @@ __all__ = [
     "instrument_kernel",
     "InstrumentedKernel",
     "KERNEL_TIERS",
+    "SPARSE_TIERS",
+    "DEFAULT_DENSE_TIER",
+    "DEFAULT_SPARSE_TIER",
     "run_kernel_on_region",
 ]
 
 Collision = Union[SRT, TRT]
 Kernel = Callable[[np.ndarray, np.ndarray], None]
 
-#: Ordered tiers, slowest to fastest (paper's optimization stages).
-KERNEL_TIERS = ("reference", "generic", "d3q19", "vectorized")
+#: Ordered dense tiers, slowest to fastest (paper's optimization stages).
+KERNEL_TIERS = ("reference", "generic", "d3q19", "vectorized", "compiled")
+
+#: Sparse-block strategies (§4.3); they need the block's fluid mask.
+SPARSE_TIERS = ("conditional", "indexlist", "interval")
+
+#: Tier that ``Simulation``, ``DistributedSimulation`` and the SPMD runs
+#: use for fully fluid blocks.  Where no C compiler works,
+#: :func:`make_kernel` builds ``vectorized`` in its place.
+DEFAULT_DENSE_TIER = "compiled"
+
+#: Tier they use for blocks with OUTSIDE cells.
+DEFAULT_SPARSE_TIER = "interval"
+
+_SPARSE_CLASSES = {
+    "conditional": ConditionalSparseKernel,
+    "indexlist": IndexListSparseKernel,
+    "interval": IntervalSparseKernel,
+}
 
 
 class _StatelessKernel:
@@ -128,43 +163,60 @@ def make_kernel(
     collision: Collision,
     cells: Tuple[int, ...] | None = None,
     tree: Optional[TimingTree] = None,
+    mask: Optional[np.ndarray] = None,
 ) -> Kernel:
     """Build a kernel of the given tier.
 
     Parameters
     ----------
     tier:
-        One of :data:`KERNEL_TIERS`.
+        One of :data:`KERNEL_TIERS` or :data:`SPARSE_TIERS`.
     model:
-        Lattice model; ``d3q19`` and ``vectorized`` require D3Q19.
+        Lattice model; every tier but ``reference`` and ``generic``
+        requires D3Q19.
     collision:
         SRT or TRT parameters.
     cells:
-        Interior cell counts — required for the stateful ``vectorized``
-        tier (it preallocates scratch buffers), ignored otherwise.
+        Interior cell counts — required by the ``vectorized`` tier (it
+        preallocates scratch buffers) and by ``compiled`` (whose
+        fallback is ``vectorized``), ignored otherwise.
     tree:
         Optional :class:`~repro.perf.timing.TimingTree`; when given the
         kernel is wrapped so every call records under a ``tier:<name>``
-        child of the tree's current scope.
+        child of the tree's current scope, ``<name>`` being the tier
+        actually built.
+    mask:
+        Boolean interior fluid mask — required by the sparse tiers.
+
+    A ``compiled`` request on a host where the kernel cannot be built
+    (no C compiler, compile or load failure) returns the bit-identical
+    ``vectorized`` kernel; the reason is logged once per process.
     """
+    if tier not in KERNEL_TIERS + SPARSE_TIERS:
+        raise ValueError(
+            f"unknown kernel tier {tier!r}; choose from "
+            f"{KERNEL_TIERS + SPARSE_TIERS}"
+        )
+    if tier not in ("reference", "generic") and model.name != "D3Q19":
+        raise ValueError(f"tier {tier!r} requires the D3Q19 model, got {model.name}")
+    if tier in ("vectorized", "compiled") and cells is None:
+        raise ValueError(f"tier {tier!r} needs the interior cell counts")
+    if tier in SPARSE_TIERS and mask is None:
+        raise ValueError(f"sparse tier {tier!r} needs the fluid mask")
+
     if tier == "reference":
         kernel: Kernel = _StatelessKernel(tier, reference_step, model, collision)
     elif tier == "generic":
         kernel = _StatelessKernel(tier, generic_step, model, collision)
     elif tier == "d3q19":
-        if model.name != "D3Q19":
-            raise ValueError(f"tier 'd3q19' requires the D3Q19 model, got {model.name}")
         kernel = _StatelessKernel(tier, d3q19_step, model, collision)
-    elif tier == "vectorized":
-        if model.name != "D3Q19":
-            raise ValueError(
-                f"tier 'vectorized' requires the D3Q19 model, got {model.name}"
-            )
-        if cells is None:
-            raise ValueError("tier 'vectorized' needs the interior cell counts")
-        kernel = VectorizedD3Q19Kernel(cells, collision)
+    elif tier in SPARSE_TIERS:
+        kernel = _SPARSE_CLASSES[tier](mask, collision)
+    elif tier == "compiled":
+        try:
+            kernel = CompiledD3Q19Kernel(collision)
+        except KernelBuildError:
+            kernel = VectorizedD3Q19Kernel(cells, collision)
     else:
-        raise ValueError(
-            f"unknown kernel tier {tier!r}; choose from {KERNEL_TIERS}"
-        )
-    return instrument_kernel(kernel, tree, tier)
+        kernel = VectorizedD3Q19Kernel(cells, collision)
+    return instrument_kernel(kernel, tree, kernel.name)

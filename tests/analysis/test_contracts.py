@@ -32,6 +32,7 @@ from repro.lbm.kernels.sparse import (
     IndexListSparseKernel,
     IntervalSparseKernel,
 )
+from repro.lbm.kernels.compiled import CompiledD3Q19Kernel
 from repro.lbm.kernels.vectorized import VectorizedD3Q19Kernel
 from repro.lbm.lattice import D3Q19
 from repro.perf.timing import TimingTree
@@ -68,6 +69,10 @@ class TestDeclarations:
         contract = contract_of(VectorizedD3Q19Kernel)
         assert contract["steady_state"] is True
         assert "_get_scratch" in contract["warmup"]
+
+    def test_compiled_is_a_steady_state_tier(self):
+        contract = contract_of(CompiledD3Q19Kernel)
+        assert contract == {"steady_state": True, "reason": None, "warmup": ()}
 
     @pytest.mark.parametrize(
         "obj",
@@ -109,8 +114,17 @@ class TestTracemallocCrossCheck:
     """The runtime companion of static rule KRN001."""
 
     def test_vectorized_steady_state_allocates_nothing_field_sized(self):
+        self._assert_steady_state_allocation_free(
+            VectorizedD3Q19Kernel(BIG_CELLS, TRT.from_tau(0.65))
+        )
+
+    def test_compiled_steady_state_allocates_nothing_field_sized(self):
+        kernel = make_kernel("compiled", D3Q19, TRT.from_tau(0.65), BIG_CELLS)
+        self._assert_steady_state_allocation_free(kernel)
+
+    @staticmethod
+    def _assert_steady_state_allocation_free(kernel):
         src, dst = _equilibrium_fields(BIG_CELLS)
-        kernel = VectorizedD3Q19Kernel(BIG_CELLS, TRT.from_tau(0.65))
         for _ in range(2):  # warm-up: scratch buffers cached per shape
             kernel(src, dst)
         field_bytes = 32 * 32 * 32 * 8  # one interior scalar field

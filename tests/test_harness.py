@@ -52,6 +52,7 @@ class TestFigureDrivers:
     def test_fig3(self):
         r = fig3_kernel_tiers(cells=(16, 16, 16), steps=2)
         assert r.series["vectorized/TRT"] > 0
+        assert r.series["compiled/TRT"] > 0
         assert "Figure 3" in r.report
         assert "87.8" in r.report  # SuperMUC model curve saturates there
 

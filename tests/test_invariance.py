@@ -39,7 +39,7 @@ def rotate_state(f, perm):
 
 
 class TestRotationEquivariance:
-    @pytest.mark.parametrize("tier", ["generic", "d3q19", "vectorized"])
+    @pytest.mark.parametrize("tier", ["generic", "d3q19", "vectorized", "compiled"])
     @pytest.mark.parametrize(
         "collision", [SRT(0.8), TRT.from_tau(0.8)], ids=["srt", "trt"]
     )

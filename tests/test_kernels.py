@@ -21,7 +21,7 @@ from repro.lbm.equilibrium import equilibrium
 from helpers import interior, periodic_ghost_fill, random_pdfs
 
 COLLISIONS = [SRT(tau=0.8), TRT.from_tau(0.8), TRT(lambda_e=-1.6, lambda_o=-0.7)]
-OPT_TIERS = ["generic", "d3q19", "vectorized"]
+OPT_TIERS = ["generic", "d3q19", "vectorized", "compiled"]
 
 
 @pytest.fixture(scope="module")

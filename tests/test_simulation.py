@@ -8,6 +8,8 @@ from repro import flagdefs as fl
 from repro.core import Simulation
 from repro.errors import ConfigurationError
 from repro.lbm import NoSlip, TRT, UBB, SRT
+from repro.lbm.kernels import DEFAULT_DENSE_TIER, make_kernel
+from repro.lbm.lattice import D3Q19
 
 
 def closed_box(sim):
@@ -46,7 +48,10 @@ class TestLifecycle:
         sim = Simulation(cells=(4, 4, 4), collision=SRT(0.8))
         sim.flags.fill(fl.FLUID)
         sim.finalize()
-        assert sim.kernel_name == "vectorized"
+        # The registry default; it is "vectorized" where no C compiler works.
+        default = make_kernel(DEFAULT_DENSE_TIER, D3Q19, SRT(0.8), (4, 4, 4))
+        assert DEFAULT_DENSE_TIER == "compiled"
+        assert sim.kernel_name == default.name
 
     def test_kernel_autoselect_sparse(self):
         sim = Simulation(cells=(4, 4, 4), collision=SRT(0.8))
