@@ -524,10 +524,9 @@ def main(argv=None) -> int:
     p_cor.add_argument("--vtk", type=str, default=None)
     p_cor.add_argument(
         "--comm-mode", dest="comm_mode", default="per-face",
-        choices=["per-face", "coalesced", "overlap"],
-        help="ghost exchange strategy: per-face messages, bulk-coalesced "
-        "per-rank-pair buffers, or coalesced with communication/"
-        "computation overlap (all bit-identical)",
+        choices=["per-face", "coalesced"],
+        help="ghost exchange strategy: per-face messages or bulk-coalesced "
+        "per-rank-pair buffers (bit-identical)",
     )
     _add_workers_flag(p_cor)
     _add_checkpoint_flags(p_cor)

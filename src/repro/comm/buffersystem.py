@@ -19,8 +19,7 @@ plan format:
   the direct-copy driver
   (:class:`~repro.comm.distributed.DistributedSimulation`), where every
   virtual rank pair's traffic is staged through one persistent buffer
-  per ordered pair.  It exposes ``start``/``finish`` halves so the
-  overlap schedule can run interior kernels between pack and unpack.
+  per ordered pair.
 
 Layout determinism
 ------------------
@@ -83,7 +82,7 @@ __all__ = [
 BULK_TAG = -1
 
 #: Valid ``comm_mode`` values accepted by the simulation drivers.
-COMM_MODES = ("per-face", "coalesced", "overlap")
+COMM_MODES = ("per-face", "coalesced")
 
 
 def _slice_len(sl: slice, n: int) -> int:
@@ -211,9 +210,9 @@ class BufferSystem:
         the caller's current scope and the ``comm.messages_coalesced`` /
         ``comm.coalesced_bytes`` counters accumulate.
 
-    Use :meth:`exchange` for the fused path or the
-    :meth:`start` / :meth:`local` / :meth:`finish` triple to overlap
-    interior computation with the in-flight messages.
+    :meth:`exchange` runs the three phases :meth:`start` (pack and
+    post), :meth:`local` (same-rank copies) and :meth:`finish` (drain
+    and unpack) in order.
     """
 
     def __init__(
@@ -236,10 +235,6 @@ class BufferSystem:
         }
         self._recv_channels = [(msg.peer, BULK_TAG) for msg in plan.recvs]
         self._requests: list = []
-        #: Seconds spent blocked waiting for messages in the last
-        #: :meth:`finish` (the exposed wire time an overlap schedule
-        #: tries to hide).
-        self.last_wait_seconds = 0.0
 
     # -- accounting ---------------------------------------------------------
     def _record(self, name: str, seconds: float) -> None:
@@ -288,8 +283,8 @@ class BufferSystem:
         """Drain incoming bulk messages (arrival order) and unpack.
 
         Wire-wait and unpack times are recorded separately, so the
-        timing tree shows how much exposed wait the overlap schedule
-        still pays.  Completes the posted send requests afterwards.
+        timing tree shows how long the rank waited for its peers.
+        Completes the posted send requests afterwards.
         """
         wire = 0.0
         unpack = 0.0
@@ -317,7 +312,6 @@ class BufferSystem:
         for req in self._requests:
             req.wait()
         self._requests = []
-        self.last_wait_seconds = wire
         self._record("wire", wire)
         self._record("unpack", unpack)
 
@@ -340,9 +334,8 @@ class CoalescedGhostExchange:
     :class:`~repro.comm.ghostlayer.GhostExchange` fills, so the
     performance models can consume either mode unchanged.
 
-    ``start()`` packs and performs the local copies; ``finish()``
-    unpacks.  ``exchange()`` fuses both for the non-overlapping
-    ``comm_mode="coalesced"``.
+    ``exchange()`` runs ``start()`` (pack and local copies) and then
+    ``finish()`` (unpack).
     """
 
     def __init__(

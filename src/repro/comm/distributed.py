@@ -6,6 +6,10 @@ one time loop:
 
     communication -> boundary handling -> LBM kernel -> grid swap
 
+The three per-block sweeps after the exchange are written once, in
+:class:`RankStepper`, and shared with the SPMD driver
+(:func:`repro.comm.spmd.spmd_rank_program`).
+
 All virtual processes execute within one address space (deterministic,
 bit-reproducible); the communication ledger distinguishes local from
 remote copies so the performance models can attribute MPI cost.
@@ -13,7 +17,6 @@ remote copies so the performance models can attribute MPI cost.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -27,27 +30,26 @@ from ..core.timeloop import TimeLoop
 from ..errors import ConfigurationError, NumericalError
 from ..exec import (
     EXEC_MODES,
-    RoundHandle,
+    ExecutionEngine,
     SweepTask,
+    kernel_tasks,
     make_engine,
-    slab_boxes,
     slabs_per_block,
 )
 from ..geometry.implicit import ImplicitGeometry
 from ..geometry.voxelize import ColorMap, voxelize_block
 from ..lbm.boundary import BoundaryHandling, Condition, NoSlip
 from ..lbm.collision import SRT, TRT
-from ..lbm.kernels.common import box_cells, interior_partition
 from ..lbm.kernels.registry import (
     DEFAULT_DENSE_TIER,
     DEFAULT_SPARSE_TIER,
     KERNEL_TIERS,
     instrument_kernel,
     make_kernel,
-    run_kernel_on_region,
 )
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..lbm.macroscopic import density as _density, velocity as _velocity
+from ..perf.timing import TimingTree
 from .buffersystem import COMM_MODES, CoalescedGhostExchange
 from .ghostlayer import CommStats, CopySpec, GhostExchange
 
@@ -55,29 +57,11 @@ __all__ = [
     "DistributedSimulation",
     "default_vascular_colors",
     "BlockRuntime",
+    "RankStepper",
     "build_block_runtime",
 ]
 
 Collision = Union[SRT, TRT]
-
-
-def _handler_writes_ghosts(handler: BoundaryHandling) -> bool:
-    """True if any boundary link writes a wall cell in the ghost shell.
-
-    Such writes are clobbered when a later unpack refreshes the ghost
-    layer, so the overlap schedule must re-apply the (idempotent)
-    boundary sweep after the exchange completes — see
-    :meth:`DistributedSimulation._finish_comm`.
-    """
-    shape = handler.flag_field.data.shape
-    interior = np.zeros(shape, dtype=bool)
-    interior[(slice(1, -1),) * len(shape)] = True
-    ghost_flat = ~interior.reshape(-1)
-    for per_dir in handler._links:
-        for links in per_dir:
-            if links.wall.size and bool(ghost_flat[links.wall].any()):
-                return True
-    return False
 
 
 def default_vascular_colors() -> ColorMap:
@@ -89,23 +73,94 @@ def default_vascular_colors() -> ColorMap:
 
 
 class BlockRuntime:
-    """Everything one block needs to take time steps: flag field, PDF
-    field, kernel, and boundary handler."""
+    """Everything one block needs to take time steps: the block it
+    belongs to, flag field, PDF field, kernel, and boundary handler."""
 
-    __slots__ = ("flags", "field", "kernel", "handler", "kernel_name")
+    __slots__ = ("block", "flags", "field", "kernel", "handler", "kernel_name")
 
-    def __init__(self, flags, field, kernel, handler, kernel_name):
+    def __init__(self, block, flags, field, kernel, handler, kernel_name):
+        self.block = block
         self.flags = flags
         self.field = field
         self.kernel = kernel
         self.handler = handler
         self.kernel_name = kernel_name
 
-    def step_local(self) -> None:
-        """Boundary + kernel + swap (ghost exchange is the caller's job)."""
-        self.handler.apply(self.field.src)
-        self.kernel(self.field.src, self.field.dst)
-        self.field.swap()
+
+class RankStepper:
+    """The per-block part of one rank's time step: boundary handling,
+    LBM kernel, grid swap — the sweeps that follow the ghost exchange.
+
+    Built once from the rank's ``{block_id: BlockRuntime}``, its sweep
+    engine and an optional timing tree (:class:`DistributedSimulation`
+    builds one over the blocks of all its virtual ranks, the SPMD
+    program one per rank).  Construction wraps every kernel
+    with :func:`~repro.lbm.kernels.registry.instrument_kernel` (so each
+    call records under ``tier:<name>`` of the enclosing sweep scope),
+    turns the kernel and boundary sweeps into engine work items, and
+    counts the cells each step updates.  Work items are whole blocks
+    when the rank owns at least as many blocks as the engine has
+    workers, and :func:`~repro.exec.slabs_per_block` interior slabs of
+    each dense block otherwise (sparse blocks always stay whole).  Every
+    round's items write disjoint regions, so results are bit-identical
+    for any worker count.
+
+    :meth:`boundary`, :meth:`kernel` and :meth:`swap` are the three
+    sweeps; the drivers run them under scopes of the same names.
+    """
+
+    def __init__(
+        self,
+        runtimes: Dict[object, BlockRuntime],
+        engine: ExecutionEngine,
+        tree: Optional[TimingTree] = None,
+    ):
+        self.runtimes = runtimes
+        self.engine = engine
+        self.tree = tree
+        n_dense = sum(rt.kernel_name in KERNEL_TIERS for rt in runtimes.values())
+        slabs = 1
+        if engine.mode == "threads":
+            slabs = slabs_per_block(len(runtimes), n_dense, engine.workers)
+        self.kernel_tasks: List[SweepTask] = []
+        self.boundary_tasks: List[SweepTask] = []
+        for bid, rt in runtimes.items():
+            rt.kernel = instrument_kernel(rt.kernel, tree, rt.kernel_name)
+            n = slabs if rt.kernel_name in KERNEL_TIERS else 1
+            self.kernel_tasks += kernel_tasks(rt.kernel, rt.field, n, f"{bid}:")
+            # Each handler writes only its own block's field.
+            self.boundary_tasks.append(
+                SweepTask(
+                    (lambda rt=rt: rt.handler.apply(rt.field.src)),
+                    cost=float(np.prod(rt.field.cells)),
+                    name=f"{bid}:boundary",
+                )
+            )
+        #: Lattice cells the kernel sweep updates per step.
+        self.cells_per_step = sum(
+            getattr(rt.kernel, "processed_cells", int(np.prod(rt.field.cells)))
+            for rt in runtimes.values()
+        )
+        #: Fluid cells per step (the MFLUPS numerator).
+        self.fluid_per_step = sum(
+            rt.block.fluid_cells for rt in runtimes.values()
+        )
+
+    def boundary(self) -> None:
+        """Apply every block's boundary conditions to its ``src`` grid."""
+        self.engine.run(self.boundary_tasks)
+
+    def kernel(self) -> None:
+        """Stream and collide every block; counts the updated cells."""
+        self.engine.run(self.kernel_tasks)
+        if self.tree is not None:
+            self.tree.add_counter("cells_updated", self.cells_per_step)
+            self.tree.add_counter("fluid_cell_updates", self.fluid_per_step)
+
+    def swap(self) -> None:
+        """Swap every block's two grids."""
+        for rt in self.runtimes.values():
+            rt.field.swap()
 
 
 def build_block_runtime(
@@ -147,7 +202,7 @@ def build_block_runtime(
         tier = dense_kernel
     kernel = make_kernel(tier, model, collision, blk.cells, mask=ff.fluid_mask())
     handler = BoundaryHandling(model, ff, conditions)
-    return BlockRuntime(ff, field, kernel, handler, kernel.name)
+    return BlockRuntime(blk, ff, field, kernel, handler, kernel.name)
 
 
 class DistributedSimulation:
@@ -186,12 +241,7 @@ class DistributedSimulation:
             through one persistent buffer per ordered pair — exactly
             one message per rank pair per step, zero full-field
             allocations in steady state (§2.3 of the paper).
-        ``"overlap"``
-            Coalesced, plus communication/computation overlap: each
-            dense block's sweep is split into an inner region
-            (independent of ghost layers, runs between pack and
-            unpack) and a one-cell frontier shell (runs after).
-            Bit-identical to the other modes.
+            Bit-identical to ``"per-face"``.
     exec_mode:
         Intra-rank sweep execution strategy (see :mod:`repro.exec`):
         ``"serial"`` runs every sweep inline; ``"threads"`` gives the
@@ -207,10 +257,6 @@ class DistributedSimulation:
         ``"threads"`` when ``workers > 1``.
     workers:
         Worker threads for ``exec_mode="threads"``.
-    threads:
-        Deprecated alias for ``workers`` (kept for callers of the
-        earlier thread-pool implementation); ignored when ``workers``
-        is given.
     """
 
     def __init__(
@@ -227,14 +273,11 @@ class DistributedSimulation:
         sparse_kernel: str = DEFAULT_SPARSE_TIER,
         filtered_communication: bool = False,
         comm_mode: str = "per-face",
-        threads: int = 1,
         exec_mode: Optional[str] = None,
-        workers: Optional[int] = None,
+        workers: int = 1,
     ):
         if forest.n_processes == 0:
             raise ConfigurationError("forest must be balanced first")
-        if workers is None:
-            workers = int(threads)
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if exec_mode is None:
@@ -254,8 +297,6 @@ class DistributedSimulation:
         self.comm_mode = comm_mode
         self.exec_mode = exec_mode
         self.workers = int(workers)
-        #: Back-compat view of the worker count (pre-engine API).
-        self.threads = self.workers
         self.forest = forest
         self.model = model
         self.collision = collision
@@ -267,18 +308,12 @@ class DistributedSimulation:
 
         self.blocks: Dict[object, LocalBlock] = {}
         self.block_rank: Dict[object, int] = {}
-        self.fields: Dict[object, PdfField] = {}
-        self.flags: Dict[object, FlagField] = {}
-        self._kernels: Dict[object, Callable] = {}
-        self._handlers: Dict[object, BoundaryHandling] = {}
-        self.kernel_names: Dict[object, str] = {}
-
+        self.runtimes: Dict[object, BlockRuntime] = {}
         for view in self.views:
             for blk in view.blocks:
-                key = blk.id
-                self.blocks[key] = blk
-                self.block_rank[key] = view.rank
-                rt = build_block_runtime(
+                self.blocks[blk.id] = blk
+                self.block_rank[blk.id] = view.rank
+                self.runtimes[blk.id] = build_block_runtime(
                     blk,
                     collision,
                     conditions,
@@ -289,15 +324,20 @@ class DistributedSimulation:
                     dense_kernel=dense_kernel,
                     sparse_kernel=sparse_kernel,
                 )
-                self.flags[key] = rt.flags
-                self.fields[key] = rt.field
-                self._kernels[key] = rt.kernel
-                self.kernel_names[key] = rt.kernel_name
-                self._handlers[key] = rt.handler
+        rts = self.runtimes.items()
+        self.fields: Dict[object, PdfField] = {k: rt.field for k, rt in rts}
+        self.flags: Dict[object, FlagField] = {k: rt.flags for k, rt in rts}
+        self.kernel_names: Dict[object, str] = {
+            k: rt.kernel_name for k, rt in rts
+        }
 
         self.timeloop = TimeLoop()
-        self.engine = make_engine(self.exec_mode, self.workers, self.timeloop.tree)
+        tree = self.timeloop.tree
+        self.engine = make_engine(self.exec_mode, self.workers, tree)
         self.timeloop.engine = self.engine
+        # Wraps every kernel so its calls nest as ``tier:<name>`` under
+        # the "kernel" sweep scope.
+        self.stepper = RankStepper(self.runtimes, self.engine, tree)
         specs = self._build_specs()
         if comm_mode == "per-face":
             self.exchange = GhostExchange(
@@ -310,41 +350,13 @@ class DistributedSimulation:
             self.exchange = CoalescedGhostExchange(
                 self.fields, specs, self.block_rank, tree=self.timeloop.tree
             )
-        if comm_mode == "overlap":
-            self._build_overlap_schedule(specs)
-            (
-                self.timeloop
-                .add("communication", self.exchange.start)
-                .add("boundary", self._apply_boundaries)
-                .add("inner kernel", self._run_inner_kernels)
-                .add("communication finish", self._finish_comm)
-                .add("frontier kernel", self._run_frontier_kernels)
-                .add("swap", self._swap_all)
-            )
-        else:
-            (
-                self.timeloop
-                .add("communication", self.exchange.exchange)
-                .add("boundary", self._apply_boundaries)
-                .add("kernel", self._run_kernels)
-                .add("swap", self._swap_all)
-            )
-        # Per-tier kernel timers nest under the "kernel" sweep scope.
-        for key, kern in self._kernels.items():
-            self._kernels[key] = instrument_kernel(
-                kern, self.timeloop.tree, self.kernel_names[key]
-            )
-        self._cells_per_step = sum(
-            getattr(k, "processed_cells", int(np.prod(self.blocks[key].cells)))
-            for key, k in self._kernels.items()
+        (
+            self.timeloop
+            .add("communication", self.exchange.exchange)
+            .add("boundary", self.stepper.boundary)
+            .add("kernel", self.stepper.kernel)
+            .add("swap", self.stepper.swap)
         )
-        self._fluid_per_step = self.total_fluid_cells()
-        # Cumulative accumulators for the overlap-efficiency gauge.
-        self._inner_seconds = 0.0
-        self._exposed_seconds = 0.0
-        # In-flight inner-sweep round (threaded overlap composition).
-        self._inner_handle: Optional[RoundHandle] = None
-        self._build_task_lists()
 
     # -- construction helpers ---------------------------------------------
     def _build_specs(self) -> List[CopySpec]:
@@ -392,201 +404,6 @@ class DistributedSimulation:
                         )
         return specs
 
-    def _build_overlap_schedule(self, specs: Sequence[CopySpec]) -> None:
-        """Precompute the inner/frontier split for ``comm_mode='overlap'``.
-
-        Dense blocks are partitioned once into an inner box (sweepable
-        before the exchange finishes — its pulls never touch ghost
-        cells) and a one-cell frontier onion.  Sparse blocks keep their
-        index lists valid by sweeping whole-block in the frontier phase.
-        Blocks that receive remote data *and* have boundary links
-        writing into the ghost shell are re-applied after unpack (the
-        sweep is idempotent: it reads only interior fluid cells).
-        """
-        remote_dst = {s.dst_key for s in specs if s.remote}
-        self._inner_boxes: Dict[object, tuple] = {}
-        self._frontier_boxes: Dict[object, list] = {}
-        self._reapply_keys: List[object] = []
-        for key, blk in self.blocks.items():
-            if self.kernel_names[key] in KERNEL_TIERS:
-                inner, frontier = interior_partition(blk.cells)
-                if inner is not None:
-                    self._inner_boxes[key] = inner
-                self._frontier_boxes[key] = frontier
-            if key in remote_dst and _handler_writes_ghosts(self._handlers[key]):
-                self._reapply_keys.append(key)
-
-    def _build_task_lists(self) -> None:
-        """Precompute the engine work items for every parallel sweep.
-
-        Decomposition is hybrid: with at least as many blocks as
-        workers each block is one work item (block-level scheduling);
-        with fewer blocks, each *dense* block's interior is cut into
-        :func:`~repro.exec.slabs_per_block` slabs along the slowest
-        axis (sparse blocks always stay whole — their index lists are
-        built for the full padded shape).  Closures re-read
-        ``field.src`` / ``field.dst`` at call time so the two-grid swap
-        stays transparent; all tasks of one round write disjoint
-        regions, so any worker count is bit-identical to serial.
-        """
-        dense = {k for k in self._kernels if self.kernel_names[k] in KERNEL_TIERS}
-        n_blocks = len(self._kernels)
-        slabs = 1
-        if self.exec_mode == "threads":
-            slabs = slabs_per_block(n_blocks, len(dense), self.workers)
-        self._kernel_tasks: List[SweepTask] = []
-        for key, kern in self._kernels.items():
-            field = self.fields[key]
-            cells = self.blocks[key].cells
-            if key in dense and slabs > 1:
-                full = ((0,) * self.model.dim, cells)
-                for i, box in enumerate(slab_boxes(full, slabs)):
-                    self._kernel_tasks.append(
-                        SweepTask(
-                            (lambda kern=kern, field=field, box=box:
-                             run_kernel_on_region(
-                                 kern, field.src, field.dst, box
-                             )),
-                            cost=box_cells(box),
-                            name=f"{key}:slab{i}",
-                        )
-                    )
-            else:
-                cost = float(
-                    getattr(kern, "processed_cells", int(np.prod(cells)))
-                )
-                self._kernel_tasks.append(
-                    SweepTask(
-                        (lambda kern=kern, field=field:
-                         kern(field.src, field.dst)),
-                        cost=cost,
-                        name=f"{key}:block",
-                    )
-                )
-        # Boundary handling: blocks are independent (each handler writes
-        # only its own block's field), one work item per block.
-        self._boundary_tasks = [
-            SweepTask(
-                (lambda h=handler, field=self.fields[key]: h.apply(field.src)),
-                cost=float(np.prod(self.blocks[key].cells)),
-                name=f"{key}:boundary",
-            )
-            for key, handler in self._handlers.items()
-        ]
-        if self.comm_mode != "overlap":
-            self._inner_tasks: List[SweepTask] = []
-            self._frontier_tasks: List[SweepTask] = []
-            return
-        # Overlap schedule: inner boxes slab-split like full interiors
-        # (they are the bulk of the work and must fill the pool while
-        # the exchange is in flight); frontier shells stay one item per
-        # block — thin onions whose boxes must run back-to-back.
-        inner_slabs = 1
-        if self.exec_mode == "threads" and self._inner_boxes:
-            inner_slabs = slabs_per_block(
-                len(self._inner_boxes), len(self._inner_boxes), self.workers
-            )
-        self._inner_tasks = []
-        for key, box in self._inner_boxes.items():
-            field = self.fields[key]
-            kern = self._kernels[key]
-            for i, sb in enumerate(slab_boxes(box, inner_slabs)):
-                self._inner_tasks.append(
-                    SweepTask(
-                        (lambda kern=kern, field=field, box=sb:
-                         run_kernel_on_region(kern, field.src, field.dst, box)),
-                        cost=box_cells(sb),
-                        name=f"{key}:inner{i}",
-                    )
-                )
-        self._frontier_tasks = []
-        for key, kern in self._kernels.items():
-            cells = int(np.prod(self.blocks[key].cells))
-            inner = self._inner_boxes.get(key)
-            cost = float(cells - (box_cells(inner) if inner is not None else 0))
-            self._frontier_tasks.append(
-                SweepTask(
-                    (lambda key=key: self._frontier_one(key)),
-                    cost=max(cost, 1.0),
-                    name=f"{key}:frontier",
-                )
-            )
-
-    # -- per-step sweeps --------------------------------------------------
-    def _run_inner_kernels(self) -> None:
-        """Dispatch the inner-slab round.
-
-        Under ``exec_mode="threads"`` the round is *asynchronous*: the
-        sweep returns as soon as the tasks are on the worker deques, so
-        the next sweep (``communication finish``) drains the exchange
-        concurrently with the inner compute — the unpack writes ghost
-        layers of ``src`` while the inner slabs write interior regions
-        of ``dst``, which are disjoint.  The serial engine executes
-        inline, reproducing the synchronous schedule exactly.
-        """
-        t0 = time.perf_counter()
-        self._inner_handle = self.engine.run_async(self._inner_tasks)
-        if self._inner_handle.done:  # serial engine ran inline
-            self._inner_seconds += time.perf_counter() - t0
-
-    def _finish_comm(self) -> None:
-        """Complete the exchange, restore boundary writes, join the
-        in-flight inner round, and update the
-        ``comm.overlap_efficiency`` gauge (compute hidden behind the
-        exchange as a fraction of compute + exposed comm)."""
-        t0 = time.perf_counter()
-        self.exchange.finish()
-        for key in self._reapply_keys:
-            self._handlers[key].apply(self.fields[key].src)
-        comm_wall = time.perf_counter() - t0
-        handle = self._inner_handle
-        self._inner_handle = None
-        if handle is not None and not handle.done:
-            cp0 = self.engine.critical_path_seconds
-            handle.wait()
-            # The inner round's critical-path CPU time is the compute
-            # available to hide communication behind; comm beyond it is
-            # exposed.
-            inner_cp = self.engine.critical_path_seconds - cp0
-            self._inner_seconds += inner_cp
-            self._exposed_seconds += max(0.0, comm_wall - inner_cp)
-        else:
-            self._exposed_seconds += comm_wall
-        denom = self._inner_seconds + self._exposed_seconds
-        if denom > 0.0:
-            self.timeloop.tree.set_counter(
-                "comm.overlap_efficiency", self._inner_seconds / denom
-            )
-
-    def _frontier_one(self, key) -> None:
-        field = self.fields[key]
-        kernel = self._kernels[key]
-        boxes = self._frontier_boxes.get(key)
-        if boxes is None:  # sparse kernel: whole-block sweep
-            kernel(field.src, field.dst)
-            return
-        for box in boxes:
-            run_kernel_on_region(kernel, field.src, field.dst, box)
-
-    def _run_frontier_kernels(self) -> None:
-        self.engine.run(self._frontier_tasks)
-        tree = self.timeloop.tree
-        tree.add_counter("cells_updated", self._cells_per_step)
-        tree.add_counter("fluid_cell_updates", self._fluid_per_step)
-
-    def _apply_boundaries(self) -> None:
-        self.engine.run(self._boundary_tasks)
-
-    def _run_kernels(self) -> None:
-        self.engine.run(self._kernel_tasks)
-        tree = self.timeloop.tree
-        tree.add_counter("cells_updated", self._cells_per_step)
-        tree.add_counter("fluid_cell_updates", self._fluid_per_step)
-
-    def _swap_all(self) -> None:
-        for field in self.fields.values():
-            field.swap()
-
     def close(self) -> None:
         """Shut down the sweep engine's worker pool (idempotent)."""
         self.timeloop.close()
@@ -600,9 +417,11 @@ class DistributedSimulation:
                 "replacement boundary must keep the same flag bit"
             )
         replaced = 0
-        for handler in self._handlers.values():
+        for rt in self.runtimes.values():
+            handler = rt.handler
             for i, cond in enumerate(handler.conditions):
                 if cond == old:
+                    handler.validate_condition(new)
                     handler.conditions[i] = new
                     replaced += 1
         if replaced == 0:
@@ -734,42 +553,22 @@ class DistributedSimulation:
         return out
 
     # -- performance ------------------------------------------------------------
-    def _kernel_seconds(self) -> float:
-        """Total kernel sweep time — ``kernel`` in the fused modes, the
-        sum of ``inner kernel`` + ``frontier kernel`` under overlap."""
-        return sum(
-            v for k, v in self.timeloop.timings().items() if "kernel" in k
-        )
-
     def mflups(self) -> float:
-        t = self._kernel_seconds()
+        t = self.timeloop.timings().get("kernel", 0.0)
         if t == 0.0 or self.timeloop.steps_run == 0:
             return 0.0
         return self.total_fluid_cells() * self.timeloop.steps_run / t / 1e6
 
     def mlups(self) -> float:
-        t = self._kernel_seconds()
+        t = self.timeloop.timings().get("kernel", 0.0)
         if t == 0.0 or self.timeloop.steps_run == 0:
             return 0.0
-        processed = sum(
-            getattr(k, "processed_cells", int(np.prod(self.blocks[key].cells)))
-            for key, k in self._kernels.items()
-        )
-        return processed * self.timeloop.steps_run / t / 1e6
+        return self.stepper.cells_per_step * self.timeloop.steps_run / t / 1e6
 
     def comm_fraction(self) -> float:
-        """Fraction of wall time spent in communication sweeps — the
-        quantity plotted as dotted lines in Figure 6.  Under overlap
-        both halves (``communication`` and ``communication finish``)
-        count; the hidden portion shows up as the gap between this and
-        ``comm.overlap_efficiency``."""
-        t = self.timeloop.timings()
-        total = sum(t.values())
-        if total == 0.0:
-            return 0.0
-        return (
-            sum(v for k, v in t.items() if k.startswith("communication")) / total
-        )
+        """Fraction of wall time spent in the communication sweep — the
+        quantity plotted as dotted lines in Figure 6."""
+        return self.timeloop.fraction("communication")
 
     def timing_report(self) -> str:
         """Hierarchical timing tree: sweeps with comm pack/send/unpack

@@ -13,18 +13,16 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from ..errors import ConfigurationError, NumericalError
-from ..exec import EXEC_MODES, SweepTask, make_engine, slab_boxes
+from ..exec import EXEC_MODES, SweepTask, kernel_tasks, make_engine
 from ..lbm.boundary import BoundaryHandling, Condition
 from ..lbm.forcing import ConstantBodyForce
 from ..lbm.collision import SRT, TRT
-from ..lbm.kernels.common import box_cells
 from ..lbm.kernels.registry import (
     DEFAULT_DENSE_TIER,
     DEFAULT_SPARSE_TIER,
     KERNEL_TIERS,
     SPARSE_TIERS,
     make_kernel,
-    run_kernel_on_region,
 )
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..lbm.macroscopic import density as _density, velocity as _velocity
@@ -169,34 +167,13 @@ class Simulation:
         # Intra-rank sweep engine: the kernel sweep becomes a round of
         # independent SweepTasks — whole-field for sparse strategies
         # (their index lists are built for the full padded shape), one
-        # slab per worker for dense tiers.  Closures re-read
-        # ``self.pdfs.src/dst`` at call time so the two-grid swap stays
-        # transparent; slabs write disjoint dst interiors, so any
-        # worker count is bit-identical to serial.
+        # slab per worker for dense tiers (see ``repro.exec.kernel_tasks``).
         self.engine = make_engine(self.exec_mode, self.workers, tree)
         self.timeloop.engine = self.engine
-        kern = self._kernel
-        if name in KERNEL_TIERS:
-            n_slabs = self.workers if self.exec_mode == "threads" else 1
-            full = ((0,) * self.model.dim, self.cells)
-            self._kernel_tasks = [
-                SweepTask(
-                    (lambda box=box: run_kernel_on_region(
-                        kern, self.pdfs.src, self.pdfs.dst, box
-                    )),
-                    cost=box_cells(box),
-                    name=f"slab{i}",
-                )
-                for i, box in enumerate(slab_boxes(full, n_slabs))
-            ]
-        else:
-            self._kernel_tasks = [
-                SweepTask(
-                    lambda: kern(self.pdfs.src, self.pdfs.dst),
-                    cost=float(np.prod(self.cells)),
-                    name="block",
-                )
-            ]
+        n_slabs = 1
+        if name in KERNEL_TIERS and self.exec_mode == "threads":
+            n_slabs = self.workers
+        self._kernel_tasks = kernel_tasks(self._kernel, self.pdfs, n_slabs)
 
         self._bh = BoundaryHandling(self.model, self.flags, self.boundaries)
         self.pdfs.set_equilibrium(rho=rho, u=u)
@@ -235,6 +212,7 @@ class Simulation:
             idx = self._bh.conditions.index(old)
         except ValueError:
             raise ConfigurationError("condition is not active") from None
+        self._bh.validate_condition(new)
         self._bh.conditions[idx] = new
         return self
 

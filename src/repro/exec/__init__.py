@@ -12,10 +12,12 @@ strategies:
   an independent work item, claimed work-queue style from per-worker
   deques with work stealing (Feichtinger et al.'s patch-level
   parallelization), and
-* **slab-level** splitting — a single large block's interior (or its
-  ghost-independent inner region under ``comm_mode="overlap"``) is cut
+* **slab-level** splitting — a single large block's interior is cut
   along the slowest-varying axis into per-worker subregion views, each
-  swept through the PR-3 ``region_view`` machinery.
+  swept through :func:`~repro.lbm.kernels.registry.run_kernel_on_region`.
+
+:func:`kernel_tasks` turns one block's kernel sweep into work items for
+either strategy; every driver builds its kernel rounds with it.
 
 Parallel sweeps are *bit-identical* to serial ones: tasks write
 disjoint destination regions and per-cell arithmetic does not depend on
@@ -25,21 +27,20 @@ the decomposition.  See ``docs/hybrid-parallelism.md``.
 from .engine import (
     EXEC_MODES,
     ExecutionEngine,
-    RoundHandle,
     SerialEngine,
     SweepTask,
     ThreadedEngine,
     make_engine,
 )
-from .partition import slab_boxes, slabs_per_block
+from .partition import kernel_tasks, slab_boxes, slabs_per_block
 
 __all__ = [
     "EXEC_MODES",
     "ExecutionEngine",
-    "RoundHandle",
     "SerialEngine",
     "SweepTask",
     "ThreadedEngine",
+    "kernel_tasks",
     "make_engine",
     "slab_boxes",
     "slabs_per_block",

@@ -37,15 +37,18 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from ..errors import ConfigurationError
-from ..perf.timing import TimingNode, TimingTree
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    # A runtime import would recurse: ``repro.perf`` initializes
+    # ``repro.core``, whose simulation driver imports this package.
+    from ..perf.timing import TimingNode, TimingTree
 
 __all__ = [
     "EXEC_MODES",
     "SweepTask",
-    "RoundHandle",
     "ExecutionEngine",
     "SerialEngine",
     "ThreadedEngine",
@@ -75,34 +78,6 @@ class SweepTask:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SweepTask {self.name or self.fn!r} cost={self.cost:g}>"
-
-
-class RoundHandle:
-    """Completion handle for one dispatched round.
-
-    ``wait()`` blocks until every task of the round has executed, then
-    folds the round's statistics into the engine (and re-raises the
-    first task exception, if any).  The serial engine returns handles
-    that are already complete.
-    """
-
-    __slots__ = ("_engine", "_finished")
-
-    def __init__(self, engine: "ExecutionEngine", finished: bool = False):
-        self._engine = engine
-        self._finished = finished
-
-    def wait(self) -> None:
-        """Block until the round completes; idempotent."""
-        if self._finished:
-            return
-        self._finished = True
-        self._engine._wait_round()
-
-    @property
-    def done(self) -> bool:
-        """True once :meth:`wait` has returned."""
-        return self._finished
 
 
 class ExecutionEngine:
@@ -140,24 +115,12 @@ class ExecutionEngine:
     # -- the driver-facing protocol -----------------------------------------
     def run(self, tasks: Sequence[SweepTask]) -> None:
         """Execute ``tasks`` and block until all are done."""
-        self.run_async(tasks).wait()
-
-    def run_async(self, tasks: Sequence[SweepTask]) -> RoundHandle:
-        """Dispatch ``tasks`` and return a :class:`RoundHandle`.
-
-        At most one round may be in flight per engine; the threaded
-        engine computes concurrently with the caller (the overlap
-        schedules finish the ghost exchange while inner slabs run).
-        """
         raise NotImplementedError
 
     def shutdown(self) -> None:
         """Stop worker threads (no-op for the serial engine)."""
 
     # -- shared bookkeeping --------------------------------------------------
-    def _wait_round(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
     def _account_round(
         self,
         n_tasks: int,
@@ -233,8 +196,8 @@ class SerialEngine(ExecutionEngine):
     def __init__(self, tree: Optional[TimingTree] = None):
         super().__init__(1, tree)
 
-    def run_async(self, tasks: Sequence[SweepTask]) -> RoundHandle:
-        """Execute ``tasks`` immediately; the handle is already done."""
+    def run(self, tasks: Sequence[SweepTask]) -> None:
+        """Execute ``tasks`` inline, in order."""
         t0w = time.perf_counter()
         t0c = time.thread_time()
         for task in tasks:
@@ -246,10 +209,6 @@ class SerialEngine(ExecutionEngine):
         self._account_round(
             n, n, 0, (wall,), (cpu,), (n,), wall, anchor
         )
-        return RoundHandle(self, finished=True)
-
-    def _wait_round(self) -> None:
-        """Nothing to wait for: rounds complete inside :meth:`run_async`."""
 
 
 class ThreadedEngine(ExecutionEngine):
@@ -258,7 +217,7 @@ class ThreadedEngine(ExecutionEngine):
 
     Threads are daemonic and started lazily on the first round; call
     :meth:`shutdown` for a deterministic teardown (the drivers and the
-    benchmarks do).  One round may be in flight at a time.
+    benchmarks do).  :meth:`run` returns once the round has drained.
     """
 
     mode = "threads"
@@ -271,9 +230,7 @@ class ThreadedEngine(ExecutionEngine):
         self._epoch = 0
         self._stop = False
         self._started = False
-        self._in_flight = False
         self._anchor: Optional[TimingNode] = None
-        self._dispatch_t0 = 0.0
         self._threads: List[threading.Thread] = []
         self._errors: List[BaseException] = []
         # Per-round, per-worker accumulators (reset at dispatch, read at
@@ -317,12 +274,9 @@ class ThreadedEngine(ExecutionEngine):
             pass
 
     # -- dispatch ------------------------------------------------------------
-    def run_async(self, tasks: Sequence[SweepTask]) -> RoundHandle:
-        """Shard ``tasks`` onto the worker deques and wake the pool."""
-        if self._in_flight:
-            raise ConfigurationError(
-                "a round is already in flight on this engine"
-            )
+    def run(self, tasks: Sequence[SweepTask]) -> None:
+        """Shard ``tasks`` onto the worker deques, wake the pool and
+        block until the round drains; re-raises the first task error."""
         self._ensure_started()
         n = len(tasks)
         anchor = self.tree.current if self.tree is not None else None
@@ -331,7 +285,7 @@ class ThreadedEngine(ExecutionEngine):
             self._account_round(
                 0, 0, 0, zeros, zeros, [0] * self.workers, 0.0, anchor
             )
-            return RoundHandle(self, finished=True)
+            return
         # Deterministic greedy LPT: heaviest task first onto the
         # least-loaded queue (ties broken by worker index).
         order = sorted(range(n), key=lambda i: (-tasks[i].cost, i))
@@ -351,23 +305,15 @@ class ThreadedEngine(ExecutionEngine):
             self._anchor = anchor
             self._pending = n
             self._epoch += 1
-            self._in_flight = True
-            self._dispatch_t0 = time.perf_counter()
+            dispatch_t0 = time.perf_counter()
             self._cond.notify_all()
-        return RoundHandle(self)
-
-    def _wait_round(self) -> None:
-        """Block until the in-flight round drains, then account it."""
-        with self._cond:
             while self._pending > 0:
                 self._cond.wait()
-            dispatch_wall = time.perf_counter() - self._dispatch_t0
+            dispatch_wall = time.perf_counter() - dispatch_t0
             n = sum(self._round_counts)
             claims = sum(self._round_claims)
             steals = sum(self._round_steals)
-            anchor = self._anchor
             self._anchor = None
-            self._in_flight = False
             errors = list(self._errors)
             del self._errors[:]
         self._account_round(
@@ -416,7 +362,7 @@ class ThreadedEngine(ExecutionEngine):
                             task.fn()
                     else:
                         task.fn()
-                except BaseException as exc:  # propagate via wait()
+                except BaseException as exc:  # re-raised by run()
                     with cond:
                         self._errors.append(exc)
                 finally:

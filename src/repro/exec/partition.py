@@ -14,10 +14,14 @@ from __future__ import annotations
 
 from typing import List
 
-from ..errors import ConfigurationError
-from ..lbm.kernels.common import Box
+import numpy as np
 
-__all__ = ["slab_boxes", "slabs_per_block"]
+from ..errors import ConfigurationError
+from ..lbm.kernels.common import Box, box_cells
+from ..lbm.kernels.registry import run_kernel_on_region
+from .engine import SweepTask
+
+__all__ = ["kernel_tasks", "slab_boxes", "slabs_per_block"]
 
 
 def slab_boxes(box: Box, n: int) -> List[Box]:
@@ -67,3 +71,35 @@ def slabs_per_block(n_blocks: int, n_dense: int, workers: int) -> int:
     if n_blocks >= workers or n_dense < 1:
         return 1
     return -(-workers // n_dense)  # ceil division
+
+
+def kernel_tasks(kernel, field, slabs: int = 1, name: str = "") -> List[SweepTask]:
+    """One block's kernel sweep as engine work items.
+
+    ``slabs > 1`` cuts the interior into :func:`slab_boxes` slabs, each
+    swept through :func:`~repro.lbm.kernels.registry.run_kernel_on_region`;
+    otherwise one item sweeps the whole block (the only option for the
+    sparse tiers, whose index lists are built for the full padded shape).
+    Closures re-read ``field.src`` / ``field.dst`` at call time, so the
+    two-grid swap stays transparent; slabs write disjoint destination
+    regions, so any slab count is bit-identical to one sweep.  ``name``
+    prefixes the diagnostic task names.
+    """
+    if slabs > 1:
+        full = ((0,) * len(field.cells), field.cells)
+        return [
+            SweepTask(
+                (lambda box=box: run_kernel_on_region(
+                    kernel, field.src, field.dst, box
+                )),
+                cost=box_cells(box),
+                name=f"{name}slab{i}",
+            )
+            for i, box in enumerate(slab_boxes(full, slabs))
+        ]
+    cost = float(getattr(kernel, "processed_cells", int(np.prod(field.cells))))
+    return [
+        SweepTask(
+            lambda: kernel(field.src, field.dst), cost=cost, name=f"{name}block"
+        )
+    ]

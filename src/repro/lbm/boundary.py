@@ -124,6 +124,7 @@ class BoundaryHandling:
             if c.flag in seen:
                 raise ConfigurationError(f"duplicate boundary flag {c.flag}")
             seen.add(c.flag)
+            self.validate_condition(c)
         self._links: List[List[_DirectionLinks]] = []
         self._strides: Tuple[int, ...] = ()
         self._build()
@@ -150,6 +151,18 @@ class BoundaryHandling:
                 off = int(np.dot(e, strides))
                 per_dir.append(_DirectionLinks(wall=w_idx, fluid=w_idx + off))
             self._links.append(per_dir)
+
+    def validate_condition(self, cond: Condition) -> None:
+        """Raise :class:`ConfigurationError` if ``cond`` cannot run on
+        this handler's lattice (a UBB velocity needs one component per
+        dimension).  Runs once per condition, not once per step."""
+        if isinstance(cond, UBB):
+            uw = np.asarray(cond.velocity, dtype=np.float64)
+            if uw.shape != (self.model.dim,):
+                raise ConfigurationError(
+                    f"UBB velocity has {uw.shape} components, "
+                    f"model needs {self.model.dim}"
+                )
 
     @property
     def link_count(self) -> int:
@@ -178,11 +191,6 @@ class BoundaryHandling:
                 elif isinstance(cond, UBB):
                     e = self.model.velocities[a].astype(np.float64)
                     uw = np.asarray(cond.velocity, dtype=np.float64)
-                    if uw.shape != (self.model.dim,):
-                        raise ConfigurationError(
-                            f"UBB velocity has {uw.shape} components, "
-                            f"model needs {self.model.dim}"
-                        )
                     corr = 6.0 * float(w[a]) * cond.rho0 * float(np.dot(e, uw))
                     flat[a][links.wall] = pulled + corr
                 elif isinstance(cond, PressureABB):

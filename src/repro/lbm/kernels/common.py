@@ -16,7 +16,7 @@ into ``dst`` (two-grid scheme; the caller swaps the fields afterwards).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "Box",
     "region_view",
     "box_cells",
-    "interior_partition",
 ]
 
 #: An axis-aligned box in *interior* cell coordinates: ``(lo, hi)`` with
@@ -95,54 +94,6 @@ def box_cells(box: Box) -> int:
     for a, b in zip(lo, hi):
         n *= max(0, int(b) - int(a))
     return n
-
-
-def interior_partition(
-    cells: Tuple[int, ...], shell: int = 1
-) -> Tuple[Optional[Box], List[Box]]:
-    """Split a block interior into an inner box and a frontier shell.
-
-    The inner box is the region whose stream-pull reads touch only other
-    interior cells — with a pull distance of one lattice link that is the
-    interior shrunk by ``shell`` cells per side.  Its sweep therefore does
-    not depend on ghost-layer contents and can run *before* the ghost
-    exchange completes (communication/computation overlap).  The frontier
-    is the remaining one-``shell``-thick onion of slabs; its sweep must
-    wait for the exchange.
-
-    Returns ``(inner, frontier)`` where ``inner`` is a :data:`Box` or
-    ``None`` and ``frontier`` is a list of disjoint :data:`Box` objects
-    whose union with ``inner`` is exactly the full interior.  The onion
-    layout (for 3-D): two full-cross-section x slabs, two y slabs
-    excluding the x extremes, two z slabs excluding both.  If any axis is
-    too small to leave an inner region (``c <= 2 * shell``) the whole
-    interior is returned as a single frontier box.
-    """
-    cells = tuple(int(c) for c in cells)
-    d = len(cells)
-    s = int(shell)
-    full: Box = ((0,) * d, cells)
-    if s <= 0:
-        return full, []
-    if any(c <= 2 * s for c in cells):
-        return None, [full]
-    inner: Box = ((s,) * d, tuple(c - s for c in cells))
-    frontier: List[Box] = []
-    lo_clip = [0] * d
-    hi_clip = list(cells)
-    for ax in range(d):
-        # Low and high slabs along `ax`, clipped on all previous axes so
-        # the boxes are disjoint (onion layout).
-        for side_lo, side_hi in (
-            (0, s),
-            (cells[ax] - s, cells[ax]),
-        ):
-            lo = list(lo_clip)
-            hi = list(hi_clip)
-            lo[ax], hi[ax] = side_lo, side_hi
-            frontier.append((tuple(lo), tuple(hi)))
-        lo_clip[ax], hi_clip[ax] = s, cells[ax] - s
-    return inner, frontier
 
 
 def check_pdf_args(model: LatticeModel, src: np.ndarray, dst: np.ndarray) -> None:

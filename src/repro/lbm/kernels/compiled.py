@@ -17,7 +17,7 @@ host (arXiv:1909.13772, arXiv:1511.07261).  This module is that step:
 * The function takes base pointers plus per-axis element strides for
   ``src`` and ``dst`` separately, so it runs in place on the
   halo-inclusive views of :func:`~repro.lbm.kernels.common.region_view`
-  (slabs, overlap inner/frontier boxes, whole blocks) without copies,
+  (slabs, thin boxes, whole blocks) without copies,
   and it keeps no scratch arrays.
 * It is loaded with :mod:`ctypes`, whose foreign calls release the GIL:
   slab tasks of the threaded :mod:`repro.exec` engine run truly in

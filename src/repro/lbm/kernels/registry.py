@@ -147,9 +147,9 @@ def instrument_kernel(
 def run_kernel_on_region(kernel: Kernel, src: np.ndarray, dst: np.ndarray, box: Box) -> None:
     """Run ``kernel`` on the subregion ``box`` of a field pair.
 
-    ``box`` is an interior-coordinate box (see
-    :func:`~repro.lbm.kernels.common.interior_partition`); the kernel is
-    invoked on halo-inclusive *views* so no data is copied and per-cell
+    ``box`` is an interior-coordinate :data:`~repro.lbm.kernels.common.Box`
+    (the slabs of :func:`repro.exec.slab_boxes`); the kernel is invoked
+    on halo-inclusive *views* so no data is copied and per-cell
     arithmetic is bit-identical to a full-field sweep restricted to the
     box.  All tiers accept arbitrary shapes (the ``vectorized`` tier
     caches scratch buffers per shape, allocating only on first use).

@@ -64,7 +64,6 @@ KNOWN_COUNTERS: Dict[str, str] = {
     "comm.remote_bytes": "ghost bytes sent over the transport",
     "comm.messages_coalesced": "bulk messages sent by the BufferSystem",
     "comm.coalesced_bytes": "payload bytes in coalesced bulk messages",
-    "comm.overlap_efficiency": "hidden / total communication time (0..1)",
     "comm.seq_messages": "sequence-numbered envelopes sent (ReliableComm)",
     "comm.timeouts": "receive timeouts observed by ReliableComm",
     "comm.retransmits": "messages recovered from the retransmission ledger",
@@ -311,7 +310,7 @@ class TimingTree:
 
     def set_counter(self, name: str, value: float) -> None:
         """Overwrite a named quantity (for gauges such as the running
-        ``comm.overlap_efficiency`` ratio, where accumulation across
+        ``exec.worker_busy_fraction`` ratio, where accumulation across
         steps would be meaningless)."""
         with self._lock:
             self.counters[name] = float(value)

@@ -187,13 +187,13 @@ class TestCommModesUnderChaos:
         result = _run(faults=FaultInjector(spec, seed), comm_mode=mode)
         _assert_identical(result, baseline)
 
-    def test_overlap_under_delay(self, baseline):
+    def test_coalesced_under_delay(self, baseline):
         spec = FaultSpec(p_delay=0.4, max_hold=2)
-        result = _run(faults=FaultInjector(spec, 13), comm_mode="overlap")
+        result = _run(faults=FaultInjector(spec, 13), comm_mode="coalesced")
         _assert_identical(result, baseline)
 
     @pytest.mark.chaos
-    @pytest.mark.parametrize("mode", ["coalesced", "overlap"])
+    @pytest.mark.parametrize("mode", ["coalesced"])
     @pytest.mark.parametrize("seed", list(range(8)))
     def test_sampled_schedules(self, mode, seed, baseline):
         spec = FaultSpec.sample(seed)

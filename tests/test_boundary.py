@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import flagdefs as fl
+from repro.core import Simulation
 from repro.core.flags import FlagField
 from repro.errors import ConfigurationError
 from repro.lbm.boundary import BoundaryHandling, NoSlip, PressureABB, UBB
@@ -124,14 +125,23 @@ class TestUBB:
         assert jx[:, :, -1].mean() > jx[:, :, 0].mean()
 
     def test_wrong_velocity_dim_rejected(self):
+        """A 2-component wall velocity on D3Q19 fails when the handler
+        is built, not at the first ``apply`` of a time step."""
         cells = (2, 2, 2)
         ff = FlagField(cells)
         ff.fill(fl.FLUID)
         ff.data[:, :, 0] = fl.VELOCITY_BC
-        bh = BoundaryHandling(D3Q19, ff, [UBB(velocity=(0.1, 0.0))])
-        src = np.zeros((19, 4, 4, 4))
-        with pytest.raises(ConfigurationError):
-            bh.apply(src)
+        with pytest.raises(ConfigurationError, match="UBB velocity"):
+            BoundaryHandling(D3Q19, ff, [UBB(velocity=(0.1, 0.0))])
+
+    def test_wrong_velocity_dim_rejected_on_update(self):
+        sim = Simulation(cells=(3, 3, 3), collision=SRT(0.8))
+        sim.flags.fill(fl.FLUID)
+        sim.flags.data[:, :, -1] = fl.VELOCITY_BC
+        lid = UBB(velocity=(0.05, 0.0, 0.0))
+        sim.add_boundary(lid).finalize()
+        with pytest.raises(ConfigurationError, match="UBB velocity"):
+            sim.update_boundary(lid, UBB(velocity=(0.05, 0.0)))
 
 
 class TestPressureABB:

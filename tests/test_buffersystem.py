@@ -1,7 +1,7 @@
 """Bulk-coalesced ghost exchange: plan layout, one-message-per-rank-pair
 counting, bit-identity across every ``comm_mode`` (dense and sparse,
 single- and multi-threaded, direct-copy and SPMD), steady-state
-allocation freedom, and the communication/computation overlap split."""
+allocation freedom, and the rejection of the removed ``overlap`` mode."""
 
 import tracemalloc
 
@@ -24,10 +24,10 @@ from repro.comm import (
     coalesce_plan,
     run_spmd_simulation,
 )
+from repro.__main__ import main
 from repro.errors import ConfigurationError
 from repro.geometry import AABB, CapsuleTreeGeometry, CoronaryTree
 from repro.lbm import NoSlip, PressureABB, TRT, UBB
-from repro.lbm.kernels.common import box_cells, interior_partition
 from repro.perf.timing import TimingTree, reduce_trees
 
 
@@ -61,14 +61,14 @@ def _dense_forest(grid=(2, 2, 2), cells=(5, 5, 5), ranks=4):
     return forest
 
 
-def _dense_sim(mode, threads=1, grid=(2, 2, 2), cells=(5, 5, 5), ranks=4):
+def _dense_sim(mode, workers=1, grid=(2, 2, 2), cells=(5, 5, 5), ranks=4):
     return DistributedSimulation(
         _dense_forest(grid, cells, ranks),
         TRT.from_tau(0.65),
         boundaries=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
         flag_setter=_lid_setter(grid),
         comm_mode=mode,
-        threads=threads,
+        workers=workers,
     )
 
 
@@ -162,25 +162,6 @@ class TestCoalescedPlan:
             )
 
 
-class TestInteriorPartition:
-    @pytest.mark.parametrize(
-        "cells", [(4, 4, 4), (3, 5, 7), (8, 3, 3), (5, 6, 4)]
-    )
-    def test_disjoint_cover(self, cells):
-        inner, frontier = interior_partition(cells)
-        boxes = ([inner] if inner else []) + frontier
-        mask = np.zeros(cells, dtype=int)
-        for lo, hi in boxes:
-            mask[tuple(slice(a, b) for a, b in zip(lo, hi))] += 1
-        assert (mask == 1).all()
-        assert sum(box_cells(b) for b in boxes) == int(np.prod(cells))
-
-    def test_degenerate_axis_is_all_frontier(self):
-        inner, frontier = interior_partition((2, 8, 8))
-        assert inner is None
-        assert frontier == [((0, 0, 0), (2, 8, 8))]
-
-
 class TestBitIdentityAcrossModes:
     STEPS = 12
 
@@ -192,13 +173,13 @@ class TestBitIdentityAcrossModes:
     def sparse_ref(self):
         return _sparse_sim("per-face").run(self.STEPS)
 
-    @pytest.mark.parametrize("mode", ["coalesced", "overlap"])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_dense_multiblock(self, mode, threads, dense_ref):
-        sim = _dense_sim(mode, threads=threads).run(self.STEPS)
+    @pytest.mark.parametrize("mode", ["coalesced"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dense_multiblock(self, mode, workers, dense_ref):
+        sim = _dense_sim(mode, workers=workers).run(self.STEPS)
         _fields_identical(sim, dense_ref)
 
-    @pytest.mark.parametrize("mode", ["coalesced", "overlap"])
+    @pytest.mark.parametrize("mode", ["coalesced"])
     def test_sparse_coronary(self, mode, sparse_ref):
         sim = _sparse_sim(mode).run(self.STEPS)
         _fields_identical(sim, sparse_ref)
@@ -217,21 +198,19 @@ class TestBitIdentityAcrossModes:
         per_face.run(1)
         assert per_face.comm_stats.remote_messages > pairs
 
-    def test_overlap_scopes_and_gauge(self):
-        sim = _dense_sim("overlap")
-        sim.run(6)
-        t = sim.timeloop.timings()
-        for sweep in (
-            "communication",
-            "inner kernel",
-            "communication finish",
-            "frontier kernel",
-        ):
-            assert sweep in t
-        eff = sim.timeloop.tree.counters["comm.overlap_efficiency"]
-        assert 0.0 <= eff <= 1.0
-        assert sim.mflups() > 0.0
-        assert 0.0 <= sim.comm_fraction() <= 1.0
+    def test_overlap_mode_rejected(self, capsys):
+        """``overlap`` was removed: both drivers and the CLI refuse it."""
+        with pytest.raises(ConfigurationError, match="comm_mode"):
+            _dense_sim("overlap")
+        with pytest.raises(ConfigurationError, match="comm_mode"):
+            run_spmd_simulation(
+                VirtualMPI(4), _dense_forest(), TRT.from_tau(0.65), 1,
+                comm_mode="overlap",
+            )
+        with pytest.raises(SystemExit) as exc:
+            main(["coronary", "--comm-mode", "overlap"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'overlap'" in capsys.readouterr().err
 
 
 class TestSteadyStateAllocations:
@@ -254,7 +233,7 @@ class TestSteadyStateAllocations:
         assert peak < limit, f"comm path allocated {peak} bytes"
 
     def test_vectorized_kernel_allocation_free_after_warmup(self):
-        sim = _dense_sim("overlap")
+        sim = _dense_sim("coalesced")
         sim.run(3)  # warm-up allocates per-shape scratch
         tracemalloc.start()
         try:
@@ -302,7 +281,7 @@ class TestSpmdBufferSystem:
     def baseline(self):
         return self._run("per-face")
 
-    @pytest.mark.parametrize("mode", ["coalesced", "overlap"])
+    @pytest.mark.parametrize("mode", ["coalesced"])
     @pytest.mark.parametrize("resilient", [True, False])
     def test_bit_identical(self, mode, resilient, baseline):
         out = self._run(mode, resilient=resilient)
@@ -333,12 +312,14 @@ class TestSpmdBufferSystem:
             == expected * self.STEPS
         )
 
-    def test_overlap_gauge_reported(self):
+    def test_coalesced_bytes_reported(self):
         trees = [TimingTree() for _ in range(self.RANKS)]
-        self._run("overlap", trees=trees)
+        self._run("coalesced", trees=trees)
         reduced = reduce_trees(trees)
-        assert "comm.overlap_efficiency" in reduced.counters
         assert reduced.counters["comm.coalesced_bytes"] > 0
+        # The per-rank step keeps the same sweep scopes as in-process.
+        for sweep in ("communication", "boundary", "kernel", "swap", "sync"):
+            assert reduced.node(sweep) is not None
 
     def test_bulk_tag_never_collides_with_per_face_tags(self):
         assert BULK_TAG < 0
@@ -346,6 +327,6 @@ class TestSpmdBufferSystem:
 
 class TestCommModesExported:
     def test_modes_tuple(self):
-        assert COMM_MODES == ("per-face", "coalesced", "overlap")
+        assert COMM_MODES == ("per-face", "coalesced")
         assert BufferSystem is not None
         assert CoalescedGhostExchange is not None

@@ -1,5 +1,5 @@
 """The compiled D3Q19 tier: bit-identity with ``vectorized`` on full
-fields, slab views and overlap boxes, argument-layout checks, and the
+fields, slab views and thin boxes, argument-layout checks, and the
 build cache (concurrent builds, corrupt artifacts, no-compiler fallback)."""
 
 import ctypes
@@ -14,15 +14,12 @@ import numpy as np
 import pytest
 
 from repro import flagdefs as fl
-from repro.balance import balance_forest
-from repro.blocks import SetupBlockForest
-from repro.comm import DistributedSimulation
 from repro.core import Simulation
 from repro.errors import KernelLayoutError
-from repro.geometry import AABB
 from repro.lbm import NoSlip, SRT, TRT, UBB
 from repro.lbm.kernels import compiled, make_kernel
 from repro.lbm.kernels.compiled import CompiledD3Q19Kernel
+from repro.lbm.kernels.registry import run_kernel_on_region
 from repro.lbm.kernels.vectorized import VectorizedD3Q19Kernel
 from repro.lbm.lattice import D3Q19
 from repro.perf.timing import TimingTree
@@ -95,41 +92,6 @@ def _cavity_result(kernel, workers=1, collision=TRT.from_tau(0.65), steps=6):
     return sim.kernel_name, sim.pdfs.src.copy()
 
 
-def _lid_setter(blk, ff):
-    d = ff.data
-    i, j, k = blk.grid_index
-    if i == 0:
-        d[0] = fl.NO_SLIP
-    if i == 1:
-        d[-1] = fl.NO_SLIP
-    if j == 0:
-        d[:, 0] = fl.NO_SLIP
-    if j == 1:
-        d[:, -1] = fl.NO_SLIP
-    if k == 0:
-        d[:, :, 0] = fl.NO_SLIP
-    if k == 1:
-        d[:, :, -1] = fl.VELOCITY_BC
-
-
-def _overlap_fields(dense_kernel, workers, collision):
-    forest = SetupBlockForest.create(AABB((0, 0, 0), (2.0, 2.0, 2.0)), (2, 2, 2), (6, 5, 7))
-    balance_forest(forest, 4, strategy="morton")
-    sim = DistributedSimulation(
-        forest,
-        collision,
-        boundaries=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
-        flag_setter=_lid_setter,
-        comm_mode="overlap",
-        dense_kernel=dense_kernel,
-        workers=workers,
-    )
-    sim.run(5)
-    sim.close()
-    names = set(sim.kernel_names.values())
-    return names, {k: f.src.copy() for k, f in sim.fields.items()}
-
-
 @needs_cc
 class TestBitIdentity:
     @pytest.mark.parametrize("collision", COLLISIONS, ids=COLLISION_IDS)
@@ -151,14 +113,24 @@ class TestBitIdentity:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("collision", COLLISIONS[:2], ids=COLLISION_IDS[:2])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_overlap_boxes_via_distributed(self, workers, collision):
-        _, want = _overlap_fields("vectorized", 1, collision)
-        names, got = _overlap_fields("compiled", workers, collision)
-        assert names == {"compiled"}
-        assert set(got) == set(want)
-        for key in want:
-            assert np.array_equal(got[key], want[key]), f"block {key} diverged"
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_thin_boxes_along_axes(self, axis, collision):
+        """One-cell-thick boxes cut along axis 1 or 2 hand the kernel
+        views that are strided on every axis but the innermost; swept
+        box by box they must reproduce the full-field result."""
+        cells = (6, 5, 7)
+        src = random_pdfs(np.random.default_rng(3), D3Q19, cells)
+        want = np.zeros_like(src)
+        make_kernel("vectorized", D3Q19, collision, cells)(src, want)
+        for tier in ("compiled", "vectorized"):
+            kernel = make_kernel(tier, D3Q19, collision, cells)
+            assert kernel.name == tier
+            got = np.zeros_like(src)
+            for i in range(cells[axis]):
+                lo, hi = [0, 0, 0], list(cells)
+                lo[axis], hi[axis] = i, i + 1
+                run_kernel_on_region(kernel, src, got, (tuple(lo), tuple(hi)))
+            assert np.array_equal(got, want), tier
 
     def test_instrumented_under_its_tier_name(self):
         tree = TimingTree()

@@ -3,13 +3,13 @@
 Four test families:
 
 1. engine unit semantics — every task runs exactly once, claims +
-   steals add up, errors propagate, at most one round in flight;
+   steals add up, errors propagate;
 2. infrastructure regressions — TimingTree under concurrent workers,
    the bounded per-thread scratch LRU of the vectorized kernel;
 3. determinism — bit-identical fields across workers=1/2/4 for the
    dense single-block slab regime, the multi-block distributed drivers
    in every comm mode, the sparse coronary geometry, and (chaos) the
-   SPMD overlap schedule under fault injection;
+   SPMD coalesced exchange under fault injection;
 4. steady-state allocations — a threaded step allocates no field-sized
    temporary once the per-worker scratch is warm.
 """
@@ -129,9 +129,8 @@ class TestEngineRunsEveryTaskOnce:
     def test_empty_round_is_a_noop(self, mode, workers):
         engine = make_engine(mode, workers)
         try:
-            handle = engine.run_async([])
-            assert handle.done
-            handle.wait()  # idempotent
+            engine.run([])
+            engine.run([])
             assert engine.tasks_run == 0
         finally:
             engine.shutdown()
@@ -148,8 +147,8 @@ class TestEngineProtocol:
     def test_serial_is_inline_and_done(self):
         order = []
         engine = SerialEngine()
-        handle = engine.run_async([SweepTask(lambda: order.append(1))])
-        assert handle.done and order == [1]
+        engine.run([SweepTask(lambda: order.append(1))])
+        assert order == [1]
         assert engine.claims == 1 and engine.steals == 0
 
     def test_error_propagates_on_wait(self):
@@ -165,23 +164,6 @@ class TestEngineProtocol:
             engine.run([SweepTask(lambda: ok.append(2))])
             assert ok == [1, 2]
         finally:
-            engine.shutdown()
-
-    def test_one_round_in_flight_enforced(self):
-        engine = ThreadedEngine(2)
-        release = threading.Event()
-        try:
-            handle = engine.run_async(
-                [SweepTask(release.wait) for _ in range(2)]
-            )
-            with pytest.raises(ConfigurationError):
-                engine.run_async([SweepTask(lambda: None)])
-            release.set()
-            handle.wait()
-            # After the wait the engine accepts new rounds again.
-            engine.run([SweepTask(lambda: None)])
-        finally:
-            release.set()
             engine.shutdown()
 
     def test_steals_occur_under_imbalance(self):
@@ -450,25 +432,11 @@ class TestDeterminismDistributed:
     def baseline(self):
         return _dist_fields(_dense_dist("per-face"), self.STEPS)
 
-    @pytest.mark.parametrize("mode", ["per-face", "coalesced", "overlap"])
+    @pytest.mark.parametrize("mode", ["per-face", "coalesced"])
     @pytest.mark.parametrize("workers", [2, 4])
     def test_all_comm_modes_match_serial(self, mode, workers, baseline):
         result = _dist_fields(_dense_dist(mode, workers=workers), self.STEPS)
         _assert_fields_identical(result, baseline)
-
-    def test_threads_alias_back_compat(self, baseline):
-        """The pre-engine ``threads=N`` spelling still works."""
-        sim = DistributedSimulation(
-            _dense_forest(),
-            TRT.from_tau(0.65),
-            boundaries=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
-            flag_setter=_lid_setter((2, 2, 2)),
-            comm_mode="overlap",
-            threads=2,
-        )
-        assert sim.workers == 2 and sim.threads == 2
-        assert sim.engine.mode == "threads"
-        _assert_fields_identical(_dist_fields(sim, self.STEPS), baseline)
 
 
 class TestDeterminismSparse:
@@ -479,9 +447,9 @@ class TestDeterminismSparse:
         par = _dist_fields(_sparse_dist(4), self.STEPS)
         _assert_fields_identical(ref, par)
 
-    def test_coronary_overlap_threads(self):
+    def test_coronary_coalesced_threads(self):
         ref = _dist_fields(_sparse_dist(1), self.STEPS)
-        par = _dist_fields(_sparse_dist(4, mode="overlap"), self.STEPS)
+        par = _dist_fields(_sparse_dist(4, mode="coalesced"), self.STEPS)
         _assert_fields_identical(ref, par)
 
 
@@ -526,20 +494,20 @@ class TestSpmdHybrid:
         return _spmd_run()
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_overlap_threads_bit_identical(self, workers, baseline):
+    def test_coalesced_threads_bit_identical(self, workers, baseline):
         result = _spmd_run(
-            comm_mode="overlap", exec_mode="threads", workers=workers
+            comm_mode="coalesced", exec_mode="threads", workers=workers
         )
         _assert_fields_identical(result, baseline)
 
-    def test_chaos_smoke_overlap_threads(self, baseline):
+    def test_chaos_smoke_coalesced_threads(self, baseline):
         """One sampled fault schedule in tier-1: delayed/duplicated
-        messages under the overlap schedule with a 4-thread pool still
+        messages under the coalesced exchange with a 4-thread pool still
         land on the bit-exact baseline."""
         spec = FaultSpec(p_delay=0.3, p_duplicate=0.1)
         result = _spmd_run(
             faults=FaultInjector(spec, 7),
-            comm_mode="overlap",
+            comm_mode="coalesced",
             exec_mode="threads",
             workers=4,
         )
@@ -548,7 +516,7 @@ class TestSpmdHybrid:
 
 @pytest.mark.chaos
 class TestSpmdHybridChaosSweep:
-    """Sampled fault schedules x the hybrid overlap schedule."""
+    """Sampled fault schedules x the hybrid coalesced exchange."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
@@ -559,7 +527,7 @@ class TestSpmdHybridChaosSweep:
         spec = FaultSpec.sample(seed)
         result = _spmd_run(
             faults=FaultInjector(spec, seed),
-            comm_mode="overlap",
+            comm_mode="coalesced",
             exec_mode="threads",
             workers=4,
         )

@@ -167,7 +167,7 @@ class TestValidation:
             k(bad, bad)  # src is dst
         # ... but other *valid* interior shapes are now accepted: the
         # kernel caches scratch per (worker thread, shape) so it can run
-        # on subregion views for communication/computation overlap.
+        # on the subregion views of slab-split sweeps.
         src = np.full((19, 7, 6, 6), 0.05)
         k(src, np.zeros_like(src))
         shapes = k.scratch_shapes()

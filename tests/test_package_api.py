@@ -1,5 +1,10 @@
 """Top-level package API and constants tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -64,3 +69,27 @@ class TestConstants:
                 assert (a & b) == 0
         assert fl.BOUNDARY_MASK == (fl.NO_SLIP | fl.VELOCITY_BC | fl.PRESSURE_BC)
         assert fl.OUTSIDE == 0
+
+
+class TestSubpackageImports:
+    """Every subpackage must import on its own, in a fresh interpreter
+    (a circular import hides when another package was imported first)."""
+
+    SUBPACKAGES = sorted(
+        p.name
+        for p in Path(repro.__file__).parent.iterdir()
+        if (p / "__init__.py").is_file()
+    )
+
+    @pytest.mark.parametrize("name", SUBPACKAGES)
+    def test_imports_alone(self, name):
+        src = str(Path(repro.__file__).parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import repro.{name}"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
