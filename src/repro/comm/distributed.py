@@ -40,6 +40,7 @@ from ..geometry.implicit import ImplicitGeometry
 from ..geometry.voxelize import ColorMap, voxelize_block
 from ..lbm.boundary import BoundaryHandling, Condition, NoSlip
 from ..lbm.collision import SRT, TRT
+from ..lbm.kernels.compiled import RunTableKernel
 from ..lbm.kernels.registry import (
     DEFAULT_DENSE_TIER,
     DEFAULT_SPARSE_TIER,
@@ -94,16 +95,23 @@ class RankStepper:
     Built once from the rank's ``{block_id: BlockRuntime}``, its sweep
     engine and an optional timing tree (:class:`DistributedSimulation`
     builds one over the blocks of all its virtual ranks, the SPMD
-    program one per rank).  Construction wraps every kernel
+    program one per rank).  Construction wraps every kernel it calls
     with :func:`~repro.lbm.kernels.registry.instrument_kernel` (so each
     call records under ``tier:<name>`` of the enclosing sweep scope),
     turns the kernel and boundary sweeps into engine work items, and
-    counts the cells each step updates.  Work items are whole blocks
-    when the rank owns at least as many blocks as the engine has
-    workers, and :func:`~repro.exec.slabs_per_block` interior slabs of
-    each dense block otherwise (sparse blocks always stay whole).  Every
-    round's items write disjoint regions, so results are bit-identical
-    for any worker count.
+    counts the cells each step updates.
+
+    Blocks on the ``runtable`` sparse tier are swept together: their
+    run tables are merged into one
+    (:meth:`~repro.lbm.kernels.compiled.RunTableKernel.merge`) whose
+    address tables are built for both grid parities here, so the step
+    makes one kernel call for all of them — or, with a threaded engine,
+    one call per cell-balanced chunk, one chunk per worker.  Other
+    blocks are work items of their own: whole blocks when the rank owns
+    at least as many blocks as the engine has workers, and
+    :func:`~repro.exec.slabs_per_block` interior slabs of each dense
+    block otherwise.  Every round's items write disjoint cells, so
+    results are bit-identical for any worker count.
 
     :meth:`boundary`, :meth:`kernel` and :meth:`swap` are the three
     sweeps; the drivers run them under scopes of the same names.
@@ -118,16 +126,19 @@ class RankStepper:
         self.runtimes = runtimes
         self.engine = engine
         self.tree = tree
+        workers = engine.workers if engine.mode == "threads" else 1
+        batched = [
+            rt for rt in runtimes.values() if isinstance(rt.kernel, RunTableKernel)
+        ]
         n_dense = sum(rt.kernel_name in KERNEL_TIERS for rt in runtimes.values())
-        slabs = 1
-        if engine.mode == "threads":
-            slabs = slabs_per_block(len(runtimes), n_dense, engine.workers)
+        slabs = slabs_per_block(len(runtimes), n_dense, workers)
         self.kernel_tasks: List[SweepTask] = []
         self.boundary_tasks: List[SweepTask] = []
         for bid, rt in runtimes.items():
-            rt.kernel = instrument_kernel(rt.kernel, tree, rt.kernel_name)
-            n = slabs if rt.kernel_name in KERNEL_TIERS else 1
-            self.kernel_tasks += kernel_tasks(rt.kernel, rt.field, n, f"{bid}:")
+            if not isinstance(rt.kernel, RunTableKernel):
+                rt.kernel = instrument_kernel(rt.kernel, tree, rt.kernel_name)
+                n = slabs if rt.kernel_name in KERNEL_TIERS else 1
+                self.kernel_tasks += kernel_tasks(rt.kernel, rt.field, n, f"{bid}:")
             # Each handler writes only its own block's field.
             self.boundary_tasks.append(
                 SweepTask(
@@ -136,6 +147,19 @@ class RankStepper:
                     name=f"{bid}:boundary",
                 )
             )
+        if batched:
+            table = RunTableKernel.merge([rt.kernel for rt in batched])
+            self._parities = table.address_tables([rt.field for rt in batched])
+            self._parity_probe = (batched[0].field, batched[0].field.src)
+            for i, chunk in enumerate(table.split(workers)):
+                k = instrument_kernel(chunk, tree, chunk.name)
+                self.kernel_tasks.append(
+                    SweepTask(
+                        (lambda k=k: k(*self._grids())),
+                        cost=float(chunk.processed_cells),
+                        name=f"runtable{i}",
+                    )
+                )
         #: Lattice cells the kernel sweep updates per step.
         self.cells_per_step = sum(
             getattr(rt.kernel, "processed_cells", int(np.prod(rt.field.cells)))
@@ -145,6 +169,13 @@ class RankStepper:
         self.fluid_per_step = sum(
             rt.block.fluid_cells for rt in runtimes.values()
         )
+
+    def _grids(self):
+        """The run table's ``(src, dst)`` address tables for the current
+        grid parity (every block swaps in :meth:`swap`, so one block
+        tells the parity of all)."""
+        field, first_src = self._parity_probe
+        return self._parities[field.src is not first_src]
 
     def boundary(self) -> None:
         """Apply every block's boundary conditions to its ``src`` grid."""
@@ -412,18 +443,9 @@ class DistributedSimulation:
         """Replace a boundary condition on every block (e.g. a pulsatile
         inflow changing its velocity between runs).  The new condition
         must keep the old flag bit so precomputed links stay valid."""
-        if new.flag != old.flag:
-            raise ConfigurationError(
-                "replacement boundary must keep the same flag bit"
-            )
-        replaced = 0
-        for rt in self.runtimes.values():
-            handler = rt.handler
-            for i, cond in enumerate(handler.conditions):
-                if cond == old:
-                    handler.validate_condition(new)
-                    handler.conditions[i] = new
-                    replaced += 1
+        replaced = sum(
+            rt.handler.replace_condition(old, new) for rt in self.runtimes.values()
+        )
         if replaced == 0:
             raise ConfigurationError("condition is not active on any block")
         return self

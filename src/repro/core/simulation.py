@@ -59,10 +59,10 @@ class Simulation:
     kernel:
         Kernel tier name (``generic`` / ``d3q19`` / ``vectorized`` /
         ``compiled``) or a sparse strategy name (``conditional`` /
-        ``indexlist`` / ``interval``).  ``None`` selects the registry's
-        default dense tier (``compiled``) for fully fluid interiors and
-        its default sparse tier (``interval``) when OUTSIDE cells are
-        present.
+        ``indexlist`` / ``interval`` / ``runtable``).  ``None`` selects
+        the registry's default dense tier (``compiled``) for fully fluid
+        interiors and its default sparse tier (``runtable``, a one-block
+        run table here) when OUTSIDE cells are present.
     body_force:
         Optional constant body force (lattice units per cell per step),
         applied to fluid cells as an extra sweep.
@@ -155,7 +155,7 @@ class Simulation:
         if name not in SPARSE_TIERS and has_outside:
             raise ConfigurationError(
                 f"dense kernel {name!r} on a block with OUTSIDE cells; "
-                "use a sparse strategy (conditional/indexlist/interval)"
+                "use a sparse strategy (conditional/indexlist/interval/runtable)"
             )
         self._kernel = make_kernel(
             name, self.model, self.collision, self.cells, tree=tree, mask=fluid
@@ -204,16 +204,8 @@ class Simulation:
         """
         if not self._finalized:
             raise ConfigurationError("finalize() before updating boundaries")
-        if new.flag != old.flag:
-            raise ConfigurationError(
-                "replacement boundary must keep the same flag bit"
-            )
-        try:
-            idx = self._bh.conditions.index(old)
-        except ValueError:
-            raise ConfigurationError("condition is not active") from None
-        self._bh.validate_condition(new)
-        self._bh.conditions[idx] = new
+        if not self._bh.replace_condition(old, new):
+            raise ConfigurationError("condition is not active")
         return self
 
     def _wrap_periodic(self) -> None:

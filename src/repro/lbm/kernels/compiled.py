@@ -5,10 +5,13 @@ stream-collide loops.  waLBerla later moved from hand-written kernels to
 kernels *generated* from the lattice description and compiled for the
 host (arXiv:1909.13772, arXiv:1511.07261).  This module is that step:
 
-* :func:`generate_source` emits C for one fused D3Q19 pull + TRT collide
-  over a box, from ``D3Q19.velocities``, ``D3Q19.weights`` and
-  :func:`~repro.lbm.kernels.d3q19.build_pair_table`.  SRT is the same
-  code with ``lam_e == lam_o``.
+* :func:`generate_source` emits C for the fused D3Q19 pull + TRT collide
+  from ``D3Q19.velocities``, ``D3Q19.weights`` and
+  :func:`~repro.lbm.kernels.d3q19.build_pair_table`: one per-cell
+  emitter under two loop headers, a box (dense blocks, slabs) and a
+  table of contiguous fluid runs over many blocks (the sparse
+  :class:`RunTableKernel`).  SRT is the same code with
+  ``lam_e == lam_o``.
 * The C performs exactly the floating-point operation sequence of
   :class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel` (same
   accumulation orders, same temporaries), and it is compiled with
@@ -49,7 +52,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from typing import Callable, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +63,13 @@ from .common import check_pdf_args
 from .contracts import allocation_free
 from .d3q19 import build_pair_table
 
-__all__ = ["CompiledD3Q19Kernel", "generate_source"]
+__all__ = [
+    "AddressTable",
+    "CompiledD3Q19Kernel",
+    "RunTableKernel",
+    "fluid_runs",
+    "generate_source",
+]
 
 log = logging.getLogger(__name__)
 
@@ -71,8 +80,11 @@ Collision = Union[SRT, TRT]
 #: re-round the arithmetic and break bit-identity with ``vectorized``.
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 
-#: Name of the generated C function.
+#: Name of the generated box-loop C function (dense blocks, slabs).
 SYMBOL = "repro_d3q19_pull_trt"
+
+#: Name of the generated run-table C function (sparse blocks).
+RUNS_SYMBOL = "repro_d3q19_runs_trt"
 
 #: Candidate C compiler names, in order of preference.
 _COMPILERS = ("cc", "gcc", "clang")
@@ -85,10 +97,86 @@ def _lit(x: float) -> str:
     return float(x).hex()
 
 
-def generate_source() -> str:
-    """C source of the fused D3Q19 pull + TRT collide over one box.
+def _row_pointers(pad: str, dq: str) -> List[str]:
+    """Declarations of the 19 pull-source and 19 destination row
+    pointers, relative to the cell pointers ``s`` and ``d``, from the
+    source strides ``sq``/``sx``/``sy`` and the destination ``dq``."""
+    vel = D3Q19.velocities
+    lines = []
+    # Direction a pulls from the cell x - e_a.
+    for a in range(D3Q19.q):
+        ex, ey, ez = (int(c) for c in vel[a])
+        lines.append(
+            f"{pad}const double *restrict s{a} = "
+            f"s + {a} * sq + ({-ex}) * sx + ({-ey}) * sy + ({-ez});"
+        )
+    for a in range(D3Q19.q):
+        lines.append(f"{pad}double *restrict d{a} = d + {a} * {dq};")
+    return lines
 
-    The signature is::
+
+def _cell_body(pad: str) -> List[str]:
+    """Pull + TRT collide of the cell at row offset ``z``: the one
+    emitter shared by the box and the run-table loops."""
+    vel = D3Q19.velocities
+    q = D3Q19.q
+    w0 = _lit(D3Q19.weights[0])
+    lines: List[str] = []
+
+    def body(text: str) -> None:
+        lines.append(pad + text)
+
+    for a in range(q):
+        body(f"const double g{a} = s{a}[z];")
+    # Density: ((g0 + g1) + g2) + ... in direction order.
+    body("double rho = g0 + g1;")
+    for a in range(2, q):
+        body(f"rho += g{a};")
+    # First-write momentum sums: the first nonzero direction per
+    # component copies or negates, the rest add or subtract in order.
+    for comp, u in enumerate(("ux", "uy", "uz")):
+        terms = [(a, int(vel[a, comp])) for a in range(1, q) if vel[a, comp]]
+        (a0, s0), rest = terms[0], terms[1:]
+        body(f"double {u} = {'' if s0 > 0 else '-'}g{a0};")
+        for a, sgn in rest:
+            body(f"{u} {'+' if sgn > 0 else '-'}= g{a};")
+    body("const double inv_rho = 1.0 / rho;")
+    body("ux *= inv_rho; uy *= inv_rho; uz *= inv_rho;")
+    # usq = ((ux^2 + uy^2) + uz^2) * (-1.5) + 1
+    body("double usq = ux * ux;")
+    body("usq += uy * uy;")
+    body("usq += uz * uz;")
+    body("usq *= -1.5;")
+    body("usq += 1.0;")
+    # Rest direction: g0 + lam_e * (g0 - (rho * usq) * w0).
+    body("double t0, t1, t2, t3;")
+    body(f"t0 = rho * usq; t0 *= {w0};")
+    body("t1 = g0 - t0; t1 *= lam_e;")
+    body("d0[z] = g0 + t1;")
+    for a, b, w, e in build_pair_table(D3Q19):
+        first = True
+        for comp, u in zip(e, ("ux", "uy", "uz")):
+            if comp == 0.0:
+                continue
+            if first:
+                body(f"t0 = {u} * {_lit(comp)};")
+                first = False
+            else:
+                body(f"t0 {'+' if comp == 1.0 else '-'}= {u};")
+        body(f"t1 = rho * {_lit(w)};")
+        body("t2 = t0 * t0; t2 *= 4.5; t2 += usq; t2 *= t1;")
+        body("t1 *= t0; t1 *= 3.0;")
+        body(f"t0 = g{a} + g{b}; t0 *= 0.5; t0 -= t2; t0 *= lam_e;")
+        body(f"t3 = g{a} - g{b}; t3 *= 0.5; t3 -= t1; t3 *= lam_o;")
+        body(f"t2 = g{a} + t0; t2 += t3; d{a}[z] = t2;")
+        body(f"t2 = g{b} + t0; t2 -= t3; d{b}[z] = t2;")
+    return lines
+
+
+def generate_source() -> str:
+    """C source of the two fused D3Q19 pull + TRT collide loops.
+
+    The box loop sweeps the interior of one block::
 
         void repro_d3q19_pull_trt(
             const double *src, double *dst,
@@ -100,10 +188,19 @@ def generate_source() -> str:
     Pointers address element ``[0, 0, 0, 0]`` of halo-inclusive fields
     of shape ``(19, nx + 2, ny + 2, nz + 2)``; strides are in elements
     and the innermost axis has unit stride.
+
+    The run-table loop sweeps contiguous fluid runs of many blocks::
+
+        void repro_d3q19_runs_trt(
+            const double *const *src, double *const *dst,  // per block
+            const ptrdiff_t *geom,   // per block: sq, sx, sy
+            const ptrdiff_t *runs,   // per run: block, flat start, length
+            ptrdiff_t nruns, double lam_e, double lam_o)
+
+    A run's flat start indexes the block's halo-padded spatial array;
+    ``src`` and ``dst`` of one block share its strides.  Both loops run
+    the per-cell code of :func:`_cell_body`, so they agree bit for bit.
     """
-    vel = D3Q19.velocities
-    q = D3Q19.q
-    w0 = _lit(D3Q19.weights[0])
     lines: List[str] = [
         "#include <stddef.h>",
         "",
@@ -118,67 +215,38 @@ def generate_source() -> str:
         "    for (ptrdiff_t y = 1; y <= ny; ++y) {",
         "      const double *restrict s = src + x * sx + y * sy + 1;",
         "      double *restrict d = dst + x * dx + y * dy + 1;",
+        *_row_pointers("      ", "dq"),
+        # The 19 load and 19 store streams exceed the compiler's budget
+        # of run-time alias checks; src and dst never overlap (the
+        # caller checks), so assert independence to get the SIMD loop.
+        "#pragma GCC ivdep",
+        "      for (ptrdiff_t z = 0; z < nz; ++z) {",
+        *_cell_body("        "),
+        "      }",
+        "    }",
+        "  }",
+        "}",
+        "",
+        f"void {RUNS_SYMBOL}(",
+        "    const double *const *src, double *const *dst,",
+        "    const ptrdiff_t *geom, const ptrdiff_t *runs, ptrdiff_t nruns,",
+        "    double lam_e, double lam_o)",
+        "{",
+        "  for (ptrdiff_t r = 0; r < nruns; ++r) {",
+        "    const ptrdiff_t *run = runs + 3 * r;",
+        "    const ptrdiff_t *g = geom + 3 * run[0];",
+        "    const ptrdiff_t sq = g[0], sx = g[1], sy = g[2], nz = run[2];",
+        "    const double *restrict s = src[run[0]] + run[1];",
+        "    double *restrict d = dst[run[0]] + run[1];",
+        *_row_pointers("    ", "sq"),
+        "#pragma GCC ivdep",
+        "    for (ptrdiff_t z = 0; z < nz; ++z) {",
+        *_cell_body("      "),
+        "    }",
+        "  }",
+        "}",
+        "",
     ]
-    # Row pointers: direction a pulls from the cell x - e_a.
-    for a in range(q):
-        ex, ey, ez = (int(c) for c in vel[a])
-        lines.append(
-            f"      const double *restrict s{a} = "
-            f"s + {a} * sq + ({-ex}) * sx + ({-ey}) * sy + ({-ez});"
-        )
-    for a in range(q):
-        lines.append(f"      double *restrict d{a} = d + {a} * dq;")
-    # The 19 load and 19 store streams exceed the compiler's budget of
-    # run-time alias checks; src and dst never overlap (the caller
-    # checks), so assert independence to get the SIMD loop.
-    lines.append("#pragma GCC ivdep")
-    lines.append("      for (ptrdiff_t z = 0; z < nz; ++z) {")
-    body = lines.append
-    for a in range(q):
-        body(f"        const double g{a} = s{a}[z];")
-    # Density: ((g0 + g1) + g2) + ... in direction order.
-    body("        double rho = g0 + g1;")
-    for a in range(2, q):
-        body(f"        rho += g{a};")
-    # First-write momentum sums: the first nonzero direction per
-    # component copies or negates, the rest add or subtract in order.
-    for comp, u in enumerate(("ux", "uy", "uz")):
-        terms = [(a, int(vel[a, comp])) for a in range(1, q) if vel[a, comp]]
-        (a0, s0), rest = terms[0], terms[1:]
-        body(f"        double {u} = {'' if s0 > 0 else '-'}g{a0};")
-        for a, sgn in rest:
-            body(f"        {u} {'+' if sgn > 0 else '-'}= g{a};")
-    body("        const double inv_rho = 1.0 / rho;")
-    body("        ux *= inv_rho; uy *= inv_rho; uz *= inv_rho;")
-    # usq = ((ux^2 + uy^2) + uz^2) * (-1.5) + 1
-    body("        double usq = ux * ux;")
-    body("        usq += uy * uy;")
-    body("        usq += uz * uz;")
-    body("        usq *= -1.5;")
-    body("        usq += 1.0;")
-    # Rest direction: g0 + lam_e * (g0 - (rho * usq) * w0).
-    body("        double t0, t1, t2, t3;")
-    body(f"        t0 = rho * usq; t0 *= {w0};")
-    body("        t1 = g0 - t0; t1 *= lam_e;")
-    body("        d0[z] = g0 + t1;")
-    for a, b, w, e in build_pair_table(D3Q19):
-        first = True
-        for comp, u in zip(e, ("ux", "uy", "uz")):
-            if comp == 0.0:
-                continue
-            if first:
-                body(f"        t0 = {u} * {_lit(comp)};")
-                first = False
-            else:
-                body(f"        t0 {'+' if comp == 1.0 else '-'}= {u};")
-        body(f"        t1 = rho * {_lit(w)};")
-        body("        t2 = t0 * t0; t2 *= 4.5; t2 += usq; t2 *= t1;")
-        body("        t1 *= t0; t1 *= 3.0;")
-        body(f"        t0 = g{a} + g{b}; t0 *= 0.5; t0 -= t2; t0 *= lam_e;")
-        body(f"        t3 = g{a} - g{b}; t3 *= 0.5; t3 -= t1; t3 *= lam_o;")
-        body(f"        t2 = g{a} + t0; t2 += t3; d{a}[z] = t2;")
-        body(f"        t2 = g{b} + t0; t2 -= t3; d{b}[z] = t2;")
-    lines += ["      }", "    }", "  }", "}", ""]
     return "\n".join(lines)
 
 
@@ -221,28 +289,32 @@ def _digest(path: str) -> str:
 
 
 class _Library:
-    """Per-process memo of the compiled kernel function (or of why it
+    """Per-process memo of the compiled kernel functions (or of why they
     could not be built), filled at most once behind a lock."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._fn: Optional[Callable] = None
+        self._fns: Optional[Dict[str, Callable]] = None
         self._error: Optional[str] = None
         self._tmpdir: Optional[str] = None
 
-    def function(self) -> Callable:
-        """The loaded kernel function; raises :class:`KernelBuildError`."""
+    def function(self, symbol: str = SYMBOL) -> Callable:
+        """The loaded kernel function ``symbol`` (:data:`SYMBOL` or
+        :data:`RUNS_SYMBOL`); raises :class:`KernelBuildError`."""
         with self._lock:
-            if self._fn is None and self._error is None:
+            if self._fns is None and self._error is None:
                 try:
-                    self._fn = self._build()
+                    self._fns = self._build()
                 except (OSError, subprocess.SubprocessError, KernelBuildError) as exc:
                     detail = getattr(exc, "stderr", None) or exc
-                    self._error = f"compiled kernel tier unavailable: {detail}"
-                    log.warning("%s; falling back to the vectorized tier", self._error)
+                    self._error = f"compiled kernel tiers unavailable: {detail}"
+                    log.warning(
+                        "%s; falling back to the vectorized (dense) and "
+                        "interval (sparse) tiers", self._error,
+                    )
             if self._error is not None:
                 raise KernelBuildError(self._error)
-            return self._fn
+            return self._fns[symbol]
 
     def _cache_dir(self) -> str:
         base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
@@ -260,7 +332,7 @@ class _Library:
             atexit.register(shutil.rmtree, self._tmpdir, True)
         return self._tmpdir
 
-    def _build(self) -> Callable:
+    def _build(self) -> Dict[str, Callable]:
         cc = _find_compiler()
         if cc is None:
             raise KernelBuildError(f"no C compiler found (tried {_COMPILERS})")
@@ -297,12 +369,16 @@ class _Library:
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)
-        fn = getattr(ctypes.CDLL(path), SYMBOL)
-        fn.argtypes = (
+        lib = ctypes.CDLL(path)
+        box, runs = getattr(lib, SYMBOL), getattr(lib, RUNS_SYMBOL)
+        box.argtypes = (
             [ctypes.c_void_p] * 2 + [ctypes.c_ssize_t] * 9 + [ctypes.c_double] * 2
         )
-        fn.restype = None
-        return fn
+        runs.argtypes = (
+            [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 2
+        )
+        box.restype = runs.restype = None
+        return {SYMBOL: box, RUNS_SYMBOL: runs}
 
 
 _LIBRARY = _Library()
@@ -367,3 +443,198 @@ class CompiledD3Q19Kernel:
             src.ctypes.data, dst.ctypes.data, sq, sx, sy, dq, dx, dy,
             nx - 2, ny - 2, nz - 2, self._lam_e, self._lam_o,
         )
+
+
+def fluid_runs(mask: np.ndarray) -> np.ndarray:
+    """Maximal contiguous fluid runs of one block, in memory order.
+
+    Returns an ``(n, 2)`` integer array of ``(flat start, length)``; a
+    flat start indexes the halo-padded spatial array of shape
+    ``mask.shape + 2``.  Ghost cells separate the lattice lines, so no
+    run crosses a line, and every cell of a run is fluid.
+    """
+    pad = np.zeros(tuple(int(s) + 2 for s in mask.shape), dtype=np.int8)
+    pad[(slice(1, -1),) * mask.ndim] = mask
+    edges = np.diff(pad.ravel())
+    starts = np.flatnonzero(edges == 1) + 1
+    ends = np.flatnonzero(edges == -1) + 1
+    return np.column_stack((starts, ends - starts)).astype(np.intp)
+
+
+class AddressTable:
+    """Base addresses of one PDF grid per block, in run-table block order:
+    the ``src`` or ``dst`` argument of a multi-block
+    :class:`RunTableKernel` call.  It holds the arrays, so the addresses
+    stay valid as long as the table lives."""
+
+    __slots__ = ("arrays", "ptr", "_addrs")
+
+    def __init__(self, arrays: Sequence[np.ndarray]):
+        self.arrays = tuple(arrays)
+        self._addrs = np.array([a.ctypes.data for a in self.arrays], dtype=np.uintp)
+        self.ptr = self._addrs.ctypes.data
+
+
+@allocation_free(
+    steady_state=True,
+    warmup=("_init_table", "merge", "split", "address_tables"),
+)
+class RunTableKernel:
+    """Compiled sparse tier: the fused D3Q19 pull + TRT collide over a
+    table of maximal contiguous fluid runs (the paper's §4.3 interval
+    kernel, without the per-line padding of ``interval``).
+
+    Each run ``(block, flat start, length)`` is one contiguous, SIMD
+    inner loop of the generated C; a table may span many blocks, whose
+    grids are passed as per-block address tables, so one call sweeps a
+    whole rank.  Every fluid cell gets exactly the value of the dense
+    ``compiled`` tier (the same emitted per-cell code), and no other
+    cell is written.
+
+    Construction (through :func:`~repro.lbm.kernels.registry.make_kernel`)
+    gives a one-block table over ``mask``, called like every kernel as
+    ``kernel(src, dst)`` with the block's halo-padded C-contiguous PDF
+    arrays.  :meth:`merge` joins one-block tables into a rank's table,
+    :meth:`address_tables` binds it to the blocks' fields, and
+    :meth:`split` cuts it into cell-balanced chunks for the worker
+    pool; those are called with the :class:`AddressTable` pair of the
+    current grid parity.  Raises
+    :class:`~repro.errors.KernelBuildError` where the shared object
+    cannot be built; ``make_kernel`` then falls back to ``interval``.
+    """
+
+    name = "runtable"
+    model = D3Q19
+
+    def __init__(self, mask: np.ndarray, collision: Collision):
+        self.mask = np.asarray(mask, dtype=bool)
+        if self.mask.ndim != 3:
+            raise ValueError(f"fluid mask must be 3-d, got {self.mask.ndim}-d")
+        padded = tuple(s + 2 for s in self.mask.shape)
+        runs = fluid_runs(self.mask)
+        table = np.zeros((len(runs), 3), dtype=np.intp)
+        table[:, 1:] = runs
+        geom = np.array([[np.prod(padded), padded[1] * padded[2], padded[2]]])
+        self._init_table(collision, _LIBRARY.function(RUNS_SYMBOL), geom, table)
+
+    def _init_table(self, collision, fn, geom: np.ndarray, runs: np.ndarray) -> None:
+        self.collision = collision
+        if isinstance(collision, SRT):
+            self._lam = (-1.0 / collision.tau,) * 2
+        else:
+            self._lam = (collision.lambda_e, collision.lambda_o)
+        self._fn = fn
+        self._geom = np.ascontiguousarray(geom, dtype=np.intp)
+        self._runs = np.ascontiguousarray(runs, dtype=np.intp)
+        self._geom_ptr = self._geom.ctypes.data
+        self._runs_ptr = self._runs.ctypes.data
+        self._nruns = len(self._runs)
+        self.blocks = len(self._geom)
+        #: Cells one call updates: exactly the fluid cells of its runs.
+        self.processed_cells = self.fluid_cells = int(self._runs[:, 2].sum())
+        # Address pair of a one-block call (written per call, never
+        # reallocated).
+        self._one = np.zeros(2, dtype=np.uintp)
+        self._one_ptr = self._one.ctypes.data
+
+    def _from_table(self, geom: np.ndarray, runs: np.ndarray) -> "RunTableKernel":
+        out = object.__new__(type(self))
+        out._init_table(self.collision, self._fn, geom, runs)
+        return out
+
+    @classmethod
+    def merge(cls, kernels: Sequence["RunTableKernel"]) -> "RunTableKernel":
+        """One table over the blocks of ``kernels``, in order (block
+        ``i`` of the result is the block of ``kernels[i]``).  The
+        kernels must be one-block tables with the same collision."""
+        if not kernels:
+            raise ValueError("merge needs at least one kernel")
+        first = kernels[0]
+        runs = []
+        for i, k in enumerate(kernels):
+            if k.blocks != 1:
+                raise ValueError("merge takes one-block tables")
+            if k._lam != first._lam:
+                raise ValueError("merged kernels must share the collision")
+            r = k._runs.copy()
+            r[:, 0] = i
+            runs.append(r)
+        return first._from_table(
+            np.concatenate([k._geom for k in kernels]), np.concatenate(runs)
+        )
+
+    def split(self, n: int) -> List["RunTableKernel"]:
+        """At most ``n`` tables over consecutive runs with balanced cell
+        counts; they write disjoint cells, so running them in any order
+        or concurrently equals one call.  ``n <= 1`` returns ``[self]``."""
+        if n <= 1 or self._nruns <= 1:
+            return [self]
+        cum = np.cumsum(self._runs[:, 2])
+        cuts = np.searchsorted(cum, cum[-1] * np.arange(1, n) / n) + 1
+        bounds = np.unique(np.concatenate(([0], cuts, [self._nruns])))
+        return [
+            self._from_table(self._geom, self._runs[a:b])
+            for a, b in zip(bounds[:-1], bounds[1:])
+            if b > a
+        ]
+
+    def address_tables(
+        self, fields: Sequence
+    ) -> Tuple[Tuple[AddressTable, AddressTable], Tuple[AddressTable, AddressTable]]:
+        """The ``(src, dst)`` call arguments for both grid parities of
+        ``fields`` (one :class:`~repro.core.field.PdfField` per block,
+        in table order): the first pair for the grids as they are now,
+        the second for after one swap.  Built once; raises
+        :class:`~repro.errors.KernelLayoutError` on a field whose layout
+        does not match its block's table."""
+        if len(fields) != self.blocks:
+            raise KernelLayoutError(
+                f"table has {self.blocks} blocks, got {len(fields)} fields"
+            )
+        for f, g in zip(fields, self._geom):
+            for arr, role in ((f.src, "src"), (f.dst, "dst")):
+                self._check_layout(arr, g, role)
+            if np.may_share_memory(f.src, f.dst):
+                raise KernelLayoutError("src and dst overlap in memory")
+        a = AddressTable([f.src for f in fields])
+        b = AddressTable([f.dst for f in fields])
+        return (a, b), (b, a)
+
+    @staticmethod
+    def _check_layout(arr: np.ndarray, geom: np.ndarray, role: str) -> None:
+        if arr.dtype != np.float64:
+            raise KernelLayoutError(f"{role} must be float64, got {arr.dtype}")
+        if not arr.flags.c_contiguous:
+            raise KernelLayoutError(f"{role} must be C-contiguous for the run table")
+        if arr.ndim != 4 or arr.shape[0] != D3Q19.q or (
+            arr[0].size, arr.shape[2] * arr.shape[3], arr.shape[3]
+        ) != tuple(int(v) for v in geom):
+            raise KernelLayoutError(
+                f"{role} shape {arr.shape} does not match the block's run table"
+            )
+
+    def __call__(self, src, dst) -> None:
+        """One sweep over the table: ``dst[fluid] = collide(pull(src))``.
+
+        ``src``/``dst`` are one block's halo-padded PDF arrays for a
+        one-block table, or the :class:`AddressTable` pair of
+        :meth:`address_tables` for any table.
+        """
+        if isinstance(src, AddressTable):
+            s, d = src.ptr, dst.ptr
+        else:
+            if self.blocks != 1:
+                raise KernelLayoutError(
+                    f"a {self.blocks}-block table needs address tables"
+                )
+            check_pdf_args(D3Q19, src, dst)
+            self._check_layout(src, self._geom[0], "src")
+            self._check_layout(dst, self._geom[0], "dst")
+            if not dst.flags.writeable:
+                raise KernelLayoutError("dst is read-only")
+            if np.may_share_memory(src, dst):
+                raise KernelLayoutError("src and dst overlap in memory")
+            self._one[0] = src.ctypes.data
+            self._one[1] = dst.ctypes.data
+            s, d = self._one_ptr, self._one_ptr + self._one.itemsize
+        self._fn(s, d, self._geom_ptr, self._runs_ptr, self._nruns, *self._lam)

@@ -13,10 +13,23 @@ generated from the lattice tables:
                 ``vectorized`` (the default dense tier)
 ==============  =====================================================
 
-It also builds the sparse-block strategies of §4.3 (``conditional`` /
-``indexlist`` / ``interval``), which need the block's fluid mask.  The
-default tier decisions live here: :data:`DEFAULT_DENSE_TIER` for fully
-fluid blocks, :data:`DEFAULT_SPARSE_TIER` for blocks with OUTSIDE cells.
+It also builds the sparse-block strategies of §4.3, which need the
+block's fluid mask:
+
+===============  ====================================================
+``conditional``  dense update, masked write-back
+``indexlist``    gather/collide/scatter over the fluid cell indices
+``interval``     per-line ``[first, last]`` runs, padded (NumPy; the
+                 sparse fallback where no C compiler works)
+``runtable``     generated C over a table of contiguous fluid runs;
+                 one call sweeps every sparse block of a rank, and it
+                 is bit-identical to ``compiled`` on fluid cells (the
+                 default sparse tier)
+===============  ====================================================
+
+The default tier decisions live here: :data:`DEFAULT_DENSE_TIER` for
+fully fluid blocks, :data:`DEFAULT_SPARSE_TIER` for blocks with OUTSIDE
+cells.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from ...errors import KernelBuildError
 from ..collision import SRT, TRT
 from ..lattice import LatticeModel
 from .common import Box, region_view
-from .compiled import CompiledD3Q19Kernel
+from .compiled import CompiledD3Q19Kernel, RunTableKernel
 from .d3q19 import d3q19_step
 from .generic import generic_step
 from .reference import reference_step
@@ -65,15 +78,16 @@ Kernel = Callable[[np.ndarray, np.ndarray], None]
 KERNEL_TIERS = ("reference", "generic", "d3q19", "vectorized", "compiled")
 
 #: Sparse-block strategies (§4.3); they need the block's fluid mask.
-SPARSE_TIERS = ("conditional", "indexlist", "interval")
+SPARSE_TIERS = ("conditional", "indexlist", "interval", "runtable")
 
 #: Tier that ``Simulation``, ``DistributedSimulation`` and the SPMD runs
 #: use for fully fluid blocks.  Where no C compiler works,
 #: :func:`make_kernel` builds ``vectorized`` in its place.
 DEFAULT_DENSE_TIER = "compiled"
 
-#: Tier they use for blocks with OUTSIDE cells.
-DEFAULT_SPARSE_TIER = "interval"
+#: Tier they use for blocks with OUTSIDE cells.  Where no C compiler
+#: works, :func:`make_kernel` builds ``interval`` in its place.
+DEFAULT_SPARSE_TIER = "runtable"
 
 _SPARSE_CLASSES = {
     "conditional": ConditionalSparseKernel,
@@ -190,7 +204,8 @@ def make_kernel(
 
     A ``compiled`` request on a host where the kernel cannot be built
     (no C compiler, compile or load failure) returns the bit-identical
-    ``vectorized`` kernel; the reason is logged once per process.
+    ``vectorized`` kernel, a ``runtable`` request the ``interval``
+    kernel; the reason is logged once per process.
     """
     if tier not in KERNEL_TIERS + SPARSE_TIERS:
         raise ValueError(
@@ -210,6 +225,11 @@ def make_kernel(
         kernel = _StatelessKernel(tier, generic_step, model, collision)
     elif tier == "d3q19":
         kernel = _StatelessKernel(tier, d3q19_step, model, collision)
+    elif tier == "runtable":
+        try:
+            kernel = RunTableKernel(mask, collision)
+        except KernelBuildError:
+            kernel = IntervalSparseKernel(mask, collision)
     elif tier in SPARSE_TIERS:
         kernel = _SPARSE_CLASSES[tier](mask, collision)
     elif tier == "compiled":

@@ -30,7 +30,7 @@ and are verified against the dense reference kernel on the fluid cells.
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +58,17 @@ def _check_mask(mask: np.ndarray, src: np.ndarray) -> None:
             f"mask shape {mask.shape} must match field interior "
             f"{tuple(s - 2 for s in src.shape[1:])}"
         )
+
+
+#: Opposite-direction pair tables per lattice, built on first use.
+_PAIR_TABLES: Dict[str, List[Tuple[int, int, float, np.ndarray]]] = {}
+
+
+def _pair_table(model: LatticeModel) -> List[Tuple[int, int, float, np.ndarray]]:
+    table = _PAIR_TABLES.get(model.name)
+    if table is None:
+        table = _PAIR_TABLES[model.name] = build_pair_table(model)
+    return table
 
 
 def _collide_packed(
@@ -104,7 +115,7 @@ def _collide_packed(
     w0 = float(model.weights[0])
     feq0 = w0 * rho * usq_term
     post[0] = g[0] + lam_e * (g[0] - feq0)
-    for a, b, w, e in build_pair_table(model):
+    for a, b, w, e in _pair_table(model):
         eu = e[0] * ux + e[1] * uy + e[2] * uz
         wrho = w * rho
         eq_plus = wrho * (usq_term + 4.5 * eu * eu)
@@ -253,6 +264,7 @@ class IntervalSparseKernel:
         self.processed_cells = width * len(self.intervals)
         self._idx: np.ndarray | None = None
         self._valid: np.ndarray | None = None
+        self._scatter: np.ndarray | None = None
         self._offs: np.ndarray | None = None
 
     def _prepare(self, padded_shape) -> None:
@@ -279,6 +291,8 @@ class IntervalSparseKernel:
         valid &= mask_flat[idx]
         self._idx = idx
         self._valid = valid
+        # Flat indices of the lanes written back, in lane order.
+        self._scatter = idx[valid]
         self._offs = _flat_offsets(D3Q19, padded_shape)
 
     def __call__(self, src: np.ndarray, dst: np.ndarray) -> None:
@@ -289,9 +303,10 @@ class IntervalSparseKernel:
         if self._idx is None:
             self._prepare(src.shape[1:])
         idx, valid, offs = self._idx, self._valid, self._offs
+        scatter = self._scatter
         src_flat = src.reshape(19, -1)
         dst_flat = dst.reshape(19, -1)
         g = [src_flat[a][idx + offs[a]] for a in range(19)]
         post = _collide_packed(D3Q19, g, self.collision)
         for a in range(19):
-            dst_flat[a][idx[valid]] = post[a][valid]
+            dst_flat[a][scatter] = post[a][valid]

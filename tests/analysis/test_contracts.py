@@ -32,7 +32,8 @@ from repro.lbm.kernels.sparse import (
     IndexListSparseKernel,
     IntervalSparseKernel,
 )
-from repro.lbm.kernels.compiled import CompiledD3Q19Kernel
+from repro.lbm.kernels import compiled
+from repro.lbm.kernels.compiled import CompiledD3Q19Kernel, RunTableKernel
 from repro.lbm.kernels.vectorized import VectorizedD3Q19Kernel
 from repro.lbm.lattice import D3Q19
 from repro.perf.timing import TimingTree
@@ -73,6 +74,10 @@ class TestDeclarations:
     def test_compiled_is_a_steady_state_tier(self):
         contract = contract_of(CompiledD3Q19Kernel)
         assert contract == {"steady_state": True, "reason": None, "warmup": ()}
+
+    def test_runtable_is_a_steady_state_tier(self):
+        contract = contract_of(RunTableKernel)
+        assert contract["steady_state"] is True
 
     @pytest.mark.parametrize(
         "obj",
@@ -120,6 +125,14 @@ class TestTracemallocCrossCheck:
 
     def test_compiled_steady_state_allocates_nothing_field_sized(self):
         kernel = make_kernel("compiled", D3Q19, TRT.from_tau(0.65), BIG_CELLS)
+        self._assert_steady_state_allocation_free(kernel)
+
+    @pytest.mark.skipif(
+        compiled._find_compiler() is None, reason="no C compiler on this host"
+    )
+    def test_runtable_steady_state_allocates_nothing_field_sized(self):
+        mask = np.indices(BIG_CELLS).sum(axis=0) % 3 != 0
+        kernel = make_kernel("runtable", D3Q19, TRT.from_tau(0.65), mask=mask)
         self._assert_steady_state_allocation_free(kernel)
 
     @staticmethod

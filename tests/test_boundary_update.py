@@ -15,7 +15,8 @@ from repro.comm import DistributedSimulation
 from repro.core import Simulation
 from repro.errors import ConfigurationError, FileFormatError, PartitioningError
 from repro.geometry import AABB
-from repro.lbm import NoSlip, PressureABB, TRT, UBB
+from repro.lbm import D3Q19, NoSlip, PressureABB, TRT, UBB
+from repro.lbm.boundary import BoundaryHandling
 from repro.scenarios import enclose_walls
 
 
@@ -93,6 +94,80 @@ class TestBoundaryUpdate:
         sim = DistributedSimulation(forest, TRT.from_tau(0.8))
         with pytest.raises(ConfigurationError):
             sim.update_boundary(UBB(velocity=(1, 0, 0)), UBB(velocity=(2, 0, 0)))
+
+
+class TestReplaceCondition:
+    """``BoundaryHandling.replace_condition`` refreshes the per-link
+    values: the step right after an update writes the new wall PDFs on
+    both drivers (a stale per-link cache would write the old ones)."""
+
+    OLD = UBB(velocity=(0.05, 0.0, 0.0))
+    NEW = UBB(velocity=(0.0, -0.03, 0.02))
+
+    @staticmethod
+    def _expected(flags, conditions, pre):
+        """``pre`` after a fresh handler's boundary sweep."""
+        out = pre.copy()
+        BoundaryHandling(D3Q19, flags, conditions).apply(out)
+        return out
+
+    def test_simulation_next_step_writes_new_wall_pdfs(self):
+        sim, lid = lid_sim()
+        sim.run(3)
+        pre = sim.pdfs.src.copy()
+        sim.update_boundary(lid, self.NEW)
+        sim.run(1)
+        # The boundary sweep wrote into the grid that is now ``dst``.
+        want = self._expected(sim.flags, [NoSlip(), self.NEW], pre)
+        stale = self._expected(sim.flags, [NoSlip(), lid], pre)
+        assert np.array_equal(sim.pdfs.dst, want)
+        assert not np.array_equal(want, stale)
+
+    def test_distributed_next_step_writes_new_wall_pdfs(self):
+        forest = SetupBlockForest.create(
+            AABB((0, 0, 0), (2, 1, 1)), (2, 1, 1), (5, 5, 5)
+        )
+        balance_forest(forest, 2, strategy="round_robin")
+
+        def lid(blk, ff):
+            d = ff.data
+            d[:, 0], d[:, -1] = fl.NO_SLIP, fl.NO_SLIP
+            d[:, :, 0] = fl.NO_SLIP
+            d[:, :, -1] = fl.VELOCITY_BC
+
+        sim = DistributedSimulation(
+            forest, TRT.from_tau(0.8), flag_setter=lid,
+            boundaries=[NoSlip(), self.OLD],
+        )
+        sim.run(3)
+        sim.exchange.exchange()  # idempotent: the step repeats it
+        pre = {k: f.src.copy() for k, f in sim.fields.items()}
+        sim.update_boundary(self.OLD, self.NEW)
+        assert all(
+            rt.handler.conditions == (NoSlip(), self.NEW)
+            for rt in sim.runtimes.values()
+        )
+        sim.run(1)
+        for k, f in sim.fields.items():
+            want = self._expected(sim.flags[k], [NoSlip(), self.NEW], pre[k])
+            stale = self._expected(sim.flags[k], [NoSlip(), self.OLD], pre[k])
+            assert np.array_equal(f.dst, want)
+            assert not np.array_equal(want, stale)
+
+    def test_conditions_cannot_be_assigned_in_place(self):
+        sim, lid = lid_sim()
+        with pytest.raises(TypeError):
+            sim._bh.conditions[1] = self.NEW
+
+    def test_inactive_condition_reports_false(self):
+        sim, _ = lid_sim()
+        assert sim._bh.replace_condition(self.NEW, self.OLD) is False
+        with pytest.raises(ConfigurationError):
+            sim._bh.replace_condition(self.OLD, PressureABB(rho_w=1.0))
+        with pytest.raises(ConfigurationError):
+            sim._bh.replace_condition(
+                UBB(velocity=(0.05, 0.0, 0.0)), UBB(velocity=(0.1, 0.0))
+            )
 
 
 class TestFileFormatFuzz:

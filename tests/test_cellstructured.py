@@ -8,6 +8,8 @@ from repro.core import Simulation
 from repro.errors import ConfigurationError
 from repro.lbm import NoSlip, SRT, TRT, UBB
 from repro.lbm.cellstructured import CellStructuredSolver
+from repro.lbm.kernels import DEFAULT_SPARSE_TIER, make_kernel
+from repro.lbm.lattice import D3Q19
 
 
 def cavity_sim(n=8, collision=None, lid=(0.05, 0.0, 0.0)):
@@ -67,7 +69,10 @@ class TestEquivalence:
         sim.add_boundary(NoSlip())
         sim.add_boundary(UBB(velocity=(0.0, 0.0, 0.02)))
         sim.finalize()
-        assert sim.kernel_name == "interval"
+        default = make_kernel(
+            DEFAULT_SPARSE_TIER, D3Q19, SRT(0.8), mask=sim.flags.fluid_mask()
+        )
+        assert sim.kernel_name == default.name
         sim.run(15)
         cs = CellStructuredSolver(
             sim.flags.data, TRT.from_tau(0.9), wall_velocity=(0.0, 0.0, 0.02)

@@ -20,6 +20,7 @@ from repro.core import PdfField, Simulation
 from repro.errors import CommunicationError, ConfigurationError
 from repro.geometry import AABB, CapsuleTreeGeometry, CoronaryTree
 from repro.lbm import D3Q19, NoSlip, PressureABB, TRT, UBB
+from repro.lbm.kernels import DEFAULT_SPARSE_TIER, make_kernel
 
 
 class TestVirtualMPI:
@@ -304,7 +305,11 @@ class TestDistributedSimulation:
                 PressureABB(rho_w=1.0),
             ],
         )
-        assert any(n == "interval" for n in sim.kernel_names.values())
+        default = make_kernel(
+            DEFAULT_SPARSE_TIER, D3Q19, TRT.from_tau(0.8),
+            mask=np.zeros((2, 2, 2), dtype=bool),
+        )
+        assert any(n == default.name for n in sim.kernel_names.values())
         sim.run(10)
         assert sim.max_velocity() < 0.3  # stable
         assert sim.total_fluid_cells() > 0
