@@ -6,10 +6,10 @@ Per ``comm_mode`` this runs the same lid-driven-cavity problem through
 reports
 
 * **messages/step** — per-face posts one message per (block, face)
-  pair; the buffer system posts exactly one per rank pair (read back
-  from the ``comm.messages_coalesced`` counter),
+  pair; coalesced exactly one per rank pair (read back from the
+  ``comm.remote_messages`` counter),
 * **bytes/step** — identical across modes (coalescing repacks, it does
-  not re-send), read from the coalesced/remote byte counters,
+  not re-send), read from the ``comm.remote_bytes`` counter,
 * **comm-stage seconds** — the top-level ``communication`` scope of
   the reduced timing tree (max over ranks: the critical path),
   best-of ``REPEATS`` interleaved samples,
@@ -114,19 +114,15 @@ def _comm_seconds(reduced) -> tuple:
     return node.total_avg, node.total_max
 
 
-def _collect(mode: str, per_face_msgs: int) -> dict:
+def _collect(mode: str) -> dict:
     best = None
     for _ in range(REPEATS):
         _, reduced, wall = _run(mode)
         comm_avg, comm_max = _comm_seconds(reduced)
         if best is None or comm_max < best["comm_seconds_max"]:
             c = reduced.counters
-            if mode == "per-face":
-                messages = per_face_msgs * STEPS
-                nbytes = c.get("comm.remote_bytes", 0.0)
-            else:
-                messages = c.get("comm.messages_coalesced", 0.0)
-                nbytes = c.get("comm.coalesced_bytes", 0.0)
+            messages = c.get("comm.remote_messages", 0.0)
+            nbytes = c.get("comm.remote_bytes", 0.0)
             updates = c.get("cells_updated", 0.0)
             best = {
                 "comm_mode": mode,
@@ -165,8 +161,7 @@ def _model_validation(reduced) -> dict:
 
 def run_benchmark(write_json: bool = True) -> dict:
     forest = _forest()
-    per_face_msgs = _per_face_messages_per_step(forest)
-    modes = {m: _collect(m, per_face_msgs) for m in COMM_MODES}
+    modes = {m: _collect(m) for m in COMM_MODES}
 
     # One extra instrumented coalesced run feeds the network models.
     _, reduced, _ = _run("coalesced")
@@ -195,6 +190,7 @@ def test_coalescing_reduces_messages_and_comm_time():
     coalesced = payload["modes"]["coalesced"]
 
     # Message coalescing: strictly fewer messages, same byte volume.
+    assert per_face["messages_per_step"] == _per_face_messages_per_step(_forest())
     assert coalesced["messages_per_step"] < per_face["messages_per_step"]
     assert coalesced["messages_per_step"] <= RANKS * (RANKS - 1)
     assert coalesced["bytes_per_step"] == per_face["bytes_per_step"]

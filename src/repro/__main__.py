@@ -227,7 +227,8 @@ def _cmd_chaos(args) -> int:
     print(f"  {injector.report()}")
     recovery = {
         k: v for k, v in sorted(reduced.counters.items())
-        if k.startswith("comm.") and k != "comm.remote_bytes"
+        if k.startswith("comm.")
+        and k not in ("comm.remote_bytes", "comm.remote_messages", "comm.local_bytes")
     }
     print(f"  recovery counters: {recovery}")
     print(f"  bit-identical to fault-free baseline: {identical}")

@@ -91,9 +91,19 @@ class ProcessView:
         return len(self.blocks) + sum(len(b.neighbors) for b in self.blocks)
 
 
-def view_for_rank(forest: SetupBlockForest, rank: int) -> ProcessView:
+def view_for_rank(
+    forest: SetupBlockForest,
+    rank: int,
+    periodic: Tuple[bool, bool, bool] = (False, False, False),
+) -> ProcessView:
     """Build one process's distributed view (what that rank would
-    construct for itself from the broadcast block-structure file)."""
+    construct for itself from the broadcast block-structure file).
+
+    This is the one place neighborhoods are derived.  On an axis flagged
+    in ``periodic`` a neighbor index past the root grid wraps around, so
+    an edge block neighbors the block on the opposite edge — or itself,
+    when the grid is one block wide on that axis.
+    """
     if forest.n_processes == 0:
         raise PartitioningError("forest must be balanced before distribution")
     if not 0 <= rank < forest.n_processes:
@@ -106,6 +116,8 @@ def view_for_rank(forest: SetupBlockForest, rank: int) -> ProcessView:
     index: Dict[Tuple[int, int, int], SetupBlock] = {
         b.grid_index: b for b in forest.blocks
     }
+    axes = list(zip(forest.root_grid, periodic))
+    wrap = any(periodic)
     view = ProcessView(
         rank=rank, n_processes=forest.n_processes, domain=forest.domain
     )
@@ -113,15 +125,14 @@ def view_for_rank(forest: SetupBlockForest, rank: int) -> ProcessView:
         if b.owner != rank:
             continue
         i, j, k = b.grid_index
-        neighbors = [
-            NeighborInfo(
-                id=index[(i + o[0], j + o[1], k + o[2])].id,
-                owner=index[(i + o[0], j + o[1], k + o[2])].owner,
-                offset=o,
-            )
-            for o in _NEIGHBOR_OFFSETS
-            if (i + o[0], j + o[1], k + o[2]) in index
-        ]
+        neighbors = []
+        for off in _NEIGHBOR_OFFSETS:
+            target = (i + off[0], j + off[1], k + off[2])
+            if wrap:
+                target = tuple(t % n if p else t for t, (n, p) in zip(target, axes))
+            nb = index.get(target)
+            if nb is not None:
+                neighbors.append(NeighborInfo(id=nb.id, owner=nb.owner, offset=off))
         view.blocks.append(
             LocalBlock(
                 id=b.id,
@@ -136,46 +147,20 @@ def view_for_rank(forest: SetupBlockForest, rank: int) -> ProcessView:
     return view
 
 
-def distribute(forest: SetupBlockForest) -> List[ProcessView]:
+def distribute(
+    forest: SetupBlockForest,
+    periodic: Tuple[bool, bool, bool] = (False, False, False),
+) -> List[ProcessView]:
     """Build every process's distributed view from a balanced setup forest.
 
     In production each process constructs only its own view (from the
     broadcast file); building all views at once here is a test/driver
-    convenience — each view still contains only what that process would
-    know.
+    convenience — each view is exactly what :func:`view_for_rank` gives
+    that process.
     """
     if forest.n_processes == 0:
         raise PartitioningError("forest must be balanced before distribution")
-    if not forest.is_uniform:
-        raise PartitioningError(
-            "runtime distribution requires a uniform forest (like every "
-            "simulation in the paper); refined forests are setup-only"
-        )
-    index: Dict[Tuple[int, int, int], SetupBlock] = {
-        b.grid_index: b for b in forest.blocks
-    }
-    views = [
-        ProcessView(rank=r, n_processes=forest.n_processes, domain=forest.domain)
-        for r in range(forest.n_processes)
+    return [
+        view_for_rank(forest, rank, periodic)
+        for rank in range(forest.n_processes)
     ]
-    for b in forest.blocks:
-        neighbors = []
-        i, j, k = b.grid_index
-        for off in _NEIGHBOR_OFFSETS:
-            nb = index.get((i + off[0], j + off[1], k + off[2]))
-            if nb is not None:
-                neighbors.append(
-                    NeighborInfo(id=nb.id, owner=nb.owner, offset=off)
-                )
-        views[b.owner].blocks.append(
-            LocalBlock(
-                id=b.id,
-                box=b.box,
-                grid_index=b.grid_index,
-                cells=b.cells,
-                fluid_cells=b.fluid_cells,
-                coverage=b.coverage,
-                neighbors=neighbors,
-            )
-        )
-    return views

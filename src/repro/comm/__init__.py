@@ -9,8 +9,10 @@ from .buffersystem import (
     BufferSystem,
     CoalescedGhostExchange,
     CoalescedPlan,
+    CommStats,
     PeerMessage,
     coalesce_plan,
+    drain_arrival_order,
 )
 from .distributed import (
     BlockRuntime,
@@ -21,13 +23,10 @@ from .distributed import (
 from .faults import FaultInjector, FaultSpec
 from .spmd import run_spmd_simulation, spmd_rank_program
 from .ghostlayer import (
-    CommStats,
-    CopySpec,
     GhostExchange,
     RankGhostPlan,
     SpmdGhostExchange,
     build_rank_plan,
-    drain_arrival_order,
     ghost_slices,
     message_tag,
     needed_directions,
@@ -44,7 +43,7 @@ __all__ = [
     "coalesce_plan",
     "FaultInjector", "FaultSpec",
     "run_spmd_simulation", "spmd_rank_program",
-    "CommStats", "CopySpec", "GhostExchange", "ghost_slices",
+    "CommStats", "GhostExchange", "ghost_slices",
     "needed_directions", "send_slices",
     "RankGhostPlan", "SpmdGhostExchange", "build_rank_plan",
     "drain_arrival_order", "message_tag", "offset_code",

@@ -1,31 +1,35 @@
-"""Bulk-coalesced ghost-layer communication: waLBerla's buffer system.
+"""Ghost-layer communication: waLBerla's buffer system.
 
 The paper never sends one message per block face: "all data exchanged
 between two processes is first packed into a single buffer ... exactly
 one message travels per pair of ranks per step" (§2.3).  This module is
-that buffer system for the reproduction, in two flavors sharing one
-plan format:
+that buffer system for the reproduction.  It lays out a rank's
+:class:`~repro.comm.ghostlayer.RankGhostPlan` in messages
+(:func:`coalesce_plan`) and executes the layout in two flavors:
 
-* :class:`BufferSystem` — the SPMD executor.  All (block, face) payloads
-  destined for one peer rank are packed, at precomputed element offsets,
-  into a **persistent preallocated** send buffer, and exactly one
-  message per peer travels per step (tag :data:`BULK_TAG`).  Receives
-  are drained in arrival order and unpacked straight from the incoming
-  buffer into the ghost regions — the steady-state exchange performs
-  zero heap allocations of field-sized temporaries, mirroring the
-  allocation-free ethos of
-  :class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel`.
-* :class:`CoalescedGhostExchange` — the same coalescing executed inside
-  the direct-copy driver
-  (:class:`~repro.comm.distributed.DistributedSimulation`), where every
-  virtual rank pair's traffic is staged through one persistent buffer
-  per ordered pair.
+* :class:`BufferSystem` — the SPMD executor over a virtual-MPI
+  communicator (:func:`~repro.comm.spmd.spmd_rank_program`).
+  Receives are drained in arrival order and unpacked straight from the
+  incoming buffer into the ghost regions.
+* :class:`CoalescedGhostExchange` — the in-process executor of
+  :class:`~repro.comm.distributed.DistributedSimulation`, where every
+  virtual rank's send message is packed and then unpacked with the
+  peer's matching receive layout in one address space.
+
+Both group a rank's traffic by peer — one message per peer rank per
+step, tag :data:`BULK_TAG` — or, in the per-face subclasses of
+:mod:`repro.comm.ghostlayer`, by ``(peer, tag)``: one segment per
+message, carrying its per-face tag.  Either way every payload is packed
+into a **persistent preallocated** send buffer, so the steady-state
+exchange performs zero heap allocations of field-sized temporaries,
+mirroring the allocation-free ethos of
+:class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel`.
 
 Layout determinism
 ------------------
 Sender and receiver never exchange the layout — both derive it
-independently from their (identical) rank plans: segments within a peer
-buffer are ordered by the per-face message tag
+independently from their (identical) rank plans: segments within a
+message are ordered by the per-face message tag
 (:func:`~repro.comm.ghostlayer.message_tag`), which both sides compute
 to the same value for the same (destination block, side).  This is the
 same trick waLBerla uses to keep its buffer system header-free.
@@ -40,40 +44,35 @@ injection the :class:`~repro.comm.vmpi.ReliableComm` sequence numbers
 ensure stale deliveries (which alias the same buffer) are discarded
 without their payload ever being read.
 
-Timing scopes and counters: ``pack`` / ``wire`` / ``unpack`` / ``local
-copy`` sub-scopes under the caller's communication sweep, plus
-``comm.messages_coalesced`` and ``comm.coalesced_bytes`` counters.
+Timing scopes and counters: ``pack`` / ``local copy`` / ``wire`` /
+``unpack`` sub-scopes under the caller's communication sweep (the
+in-process executor never waits, so it has no ``wire``), plus the
+``comm.remote_messages`` / ``comm.remote_bytes`` / ``comm.local_bytes``
+counters, mirrored in each executor's :class:`CommStats` ledger.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import CommunicationError
+from ..errors import CommunicationError, RecvTimeoutError
 from ..perf.timing import TimingTree
-from .ghostlayer import (
-    CommStats,
-    CopySpec,
-    RankGhostPlan,
-    drain_arrival_order,
-    ghost_slices,
-    message_tag,
-    send_slices,
-)
 
 __all__ = [
     "BULK_TAG",
+    "COMM_MODES",
+    "CommStats",
     "BufferSegment",
     "PeerMessage",
     "CoalescedPlan",
     "coalesce_plan",
+    "drain_arrival_order",
     "BufferSystem",
     "CoalescedGhostExchange",
-    "COMM_MODES",
 ]
 
 #: The single tag used by coalesced per-rank-pair messages.  Negative so
@@ -85,23 +84,31 @@ BULK_TAG = -1
 COMM_MODES = ("per-face", "coalesced")
 
 
-def _slice_len(sl: slice, n: int) -> int:
-    """Number of elements ``sl`` selects from an axis of length ``n``."""
-    return len(range(*sl.indices(n)))
+@dataclass
+class CommStats:
+    """Ghost-exchange ledger: bytes and messages, local vs remote."""
 
+    local_bytes: int = 0
+    remote_bytes: int = 0
+    local_messages: int = 0
+    remote_messages: int = 0
 
-def _region_shape(field_shape: Tuple[int, ...], slices) -> Tuple[int, ...]:
-    """Shape of ``field[slices]`` without touching any array data."""
-    return tuple(
-        _slice_len(sl, n) for sl, n in zip(slices, field_shape)
-    )
+    def reset(self) -> None:
+        self.local_bytes = 0
+        self.remote_bytes = 0
+        self.local_messages = 0
+        self.remote_messages = 0
+
+    @property
+    def total_bytes(self) -> int:
+        return self.local_bytes + self.remote_bytes
 
 
 @dataclass(frozen=True)
 class BufferSegment:
-    """One (block, side) payload's position inside a peer buffer.
+    """One (block, side) payload's position inside a message buffer.
 
-    ``start``/``stop`` are *element* offsets into the flat per-peer
+    ``start``/``stop`` are *element* offsets into the flat message
     buffer; ``slices`` indexes the block's padded PDF field and
     ``shape`` is the region's shape (pack reshapes the flat span to it).
     """
@@ -116,25 +123,24 @@ class BufferSegment:
 
 @dataclass(frozen=True)
 class PeerMessage:
-    """All segments exchanged with one peer rank, as one message."""
+    """The segments exchanged with one peer rank as one message, sent
+    under ``tag``."""
 
     peer: int
+    tag: int
     segments: Tuple[BufferSegment, ...]
     elements: int
 
     @property
     def nbytes(self) -> int:
-        """Payload size of the coalesced message (float64 elements)."""
+        """Payload size of the message (float64 elements)."""
         return self.elements * 8
 
 
 @dataclass(frozen=True)
 class CoalescedPlan:
-    """A rank's bulk communication plan: one message per peer rank.
-
-    Derived from a per-face :class:`~repro.comm.ghostlayer.RankGhostPlan`
-    by :func:`coalesce_plan`; fixed for the lifetime of the run.
-    """
+    """A rank's plan laid out in messages by :func:`coalesce_plan`;
+    fixed for the lifetime of the run."""
 
     sends: Tuple[PeerMessage, ...]
     recvs: Tuple[PeerMessage, ...]
@@ -142,73 +148,180 @@ class CoalescedPlan:
 
     @property
     def messages_per_step(self) -> int:
-        """Outgoing messages per exchange — exactly one per peer."""
+        """Outgoing messages per exchange."""
         return len(self.sends)
 
 
-def _group(entries, key_rank, fields) -> Tuple[PeerMessage, ...]:
-    """Group per-face plan entries into per-peer messages.
+def coalesce_plan(plan, fields, per_face: bool = False) -> CoalescedPlan:
+    """Lay out a rank plan's send and receive entries in messages.
 
-    ``entries`` are ``(peer, tag, block_id, slices)``; segments within a
-    peer's buffer are laid out in ascending tag order, which both sides
-    of a channel compute identically (see module docstring).
+    Entries are grouped by peer rank — one message per peer, tag
+    :data:`BULK_TAG` — or, with ``per_face``, by ``(peer, tag)``: one
+    segment per message, sent under its per-face tag.  Messages are
+    ordered by ``(peer, tag)`` and segments within a message by tag, so
+    a sender's layout and its peer's receive layout agree without ever
+    being exchanged.  ``fields`` maps block id to an object with a
+    ``src`` grid, used only to size segments (shapes are fixed for the
+    run).
     """
-    by_peer: Dict[int, List[Tuple[int, object, tuple]]] = {}
-    for peer, tag, block_id, sl in entries:
-        by_peer.setdefault(peer, []).append((tag, block_id, sl))
-    messages = []
-    for peer in sorted(by_peer):
-        segs = []
-        offset = 0
-        for tag, block_id, sl in sorted(by_peer[peer], key=lambda e: e[0]):
+    for dst_id, _, src_id, _ in plan.local_copies:
+        for block_id in (dst_id, src_id):
             if block_id not in fields:
                 raise CommunicationError(
-                    f"coalesced plan references unknown block {block_id}"
+                    f"ghost plan references unknown block {block_id}"
                 )
-            shape = _region_shape(fields[block_id].src.shape, sl)
-            n = int(np.prod(shape))
-            segs.append(
-                BufferSegment(tag, block_id, sl, shape, offset, offset + n)
-            )
-            offset += n
-        messages.append(PeerMessage(peer, tuple(segs), offset))
-    return tuple(messages)
 
+    def layout(entries) -> Tuple[PeerMessage, ...]:
+        groups: Dict[Tuple[int, int], list] = {}
+        for peer, tag, block_id, sl in entries:
+            if block_id not in fields:
+                raise CommunicationError(
+                    f"ghost plan references unknown block {block_id}"
+                )
+            key = (peer, tag if per_face else BULK_TAG)
+            groups.setdefault(key, []).append((tag, block_id, sl))
+        messages = []
+        for (peer, msg_tag), items in sorted(groups.items()):
+            segs = []
+            offset = 0
+            for tag, block_id, sl in sorted(items, key=lambda e: e[0]):
+                shape = fields[block_id].src[sl].shape
+                n = int(np.prod(shape))
+                segs.append(
+                    BufferSegment(tag, block_id, sl, shape, offset, offset + n)
+                )
+                offset += n
+            messages.append(PeerMessage(peer, msg_tag, tuple(segs), offset))
+        return tuple(messages)
 
-def coalesce_plan(plan: RankGhostPlan, fields) -> CoalescedPlan:
-    """Convert a per-face rank plan into a per-peer bulk plan.
-
-    ``fields`` maps block id to an object with a ``src`` grid, used only
-    to size segments (shapes are fixed for the run).  Send and receive
-    layouts agree across ranks because both sort by the shared per-face
-    message tag.
-    """
     return CoalescedPlan(
-        sends=_group(plan.sends, 0, fields),
-        recvs=_group(plan.recvs, 0, fields),
-        local_copies=plan.local_copies,
+        layout(plan.sends), layout(plan.recvs), plan.local_copies
     )
 
 
-class BufferSystem:
-    """SPMD bulk ghost exchange over persistent per-peer buffers.
+def drain_arrival_order(comm, channels, probe_timeout: Optional[float] = None):
+    """Receive one message per ``(source, tag)`` channel, yielding
+    ``(channel_index, payload)`` in the order messages actually *arrive*
+    rather than the order channels are listed.
+
+    A fixed-order drain blocks on the first listed channel even when
+    every other expected message is already waiting — head-of-line
+    blocking that delay faults turn into serialized timeout rounds.
+    This helper probes all outstanding channels at once
+    (:meth:`~repro.comm.vmpi.Comm.probe_any`) and consumes whichever is
+    ready first.  When nothing arrives within ``probe_timeout`` it falls
+    back to a blocking receive on the first outstanding channel, which
+    on a :class:`~repro.comm.vmpi.ReliableComm` triggers the
+    timeout/ledger-retransmit recovery path.
+
+    Ghost-region unpacks commute (each (block, side) region has exactly
+    one writer and regions are disjoint), so consuming in arrival order
+    is bit-identical to plan order — asserted by the chaos reorder tests.
+    """
+    pending = list(range(len(channels)))
+    while pending:
+        if len(pending) == 1:
+            k = 0
+        else:
+            try:
+                k = comm.probe_any(
+                    [channels[i] for i in pending], timeout=probe_timeout
+                )
+            except RecvTimeoutError:
+                # Nothing arrived: fall back to plan order; a resilient
+                # channel then recovers via its retransmission ledger.
+                k = 0
+        i = pending.pop(k)
+        source, tag = channels[i]
+        yield i, comm.recv(source, tag)
+
+
+def _spans(msg: PeerMessage, flat: np.ndarray) -> list:
+    """``(span of flat, block id, slices)`` for every segment of ``msg``,
+    each span reshaped to its ghost region."""
+    return [
+        (flat[seg.start:seg.stop].reshape(seg.shape), seg.block_id, seg.slices)
+        for seg in msg.segments
+    ]
+
+
+class _Executor:
+    """What both executors share: the message layout's pack and unpack,
+    the same-rank copies, and the byte/message accounting.
+
+    ``per_face`` selects the grouping :func:`coalesce_plan` lays out;
+    the per-face subclasses in :mod:`repro.comm.ghostlayer` set it.
+    """
+
+    per_face = False
+
+    def __init__(self, fields, local_copies, tree: Optional[TimingTree]):
+        self.fields = fields
+        self.tree = tree
+        self.stats = CommStats()
+        self._local_copies = local_copies
+        self._local_bytes = sum(
+            fields[src_id].src[src_sl].nbytes
+            for _, _, src_id, src_sl in local_copies
+        )
+
+    def _record(self, name: str, seconds: float) -> None:
+        if self.tree is not None:
+            self.tree.record(name, seconds)
+
+    def _pack(self, spans: list) -> None:
+        fields = self.fields
+        for span, block_id, sl in spans:
+            np.copyto(span, fields[block_id].src[sl])
+
+    def _unpack(self, spans: list) -> None:
+        fields = self.fields
+        for span, block_id, sl in spans:
+            fields[block_id].src[sl] = span
+
+    def _sent(self, messages: int, nbytes: int) -> None:
+        """Account one step's outgoing messages."""
+        self.stats.remote_messages += messages
+        self.stats.remote_bytes += nbytes
+        if self.tree is not None:
+            self.tree.add_counter("comm.remote_messages", messages)
+            self.tree.add_counter("comm.remote_bytes", nbytes)
+
+    def local(self) -> None:
+        """Direct copies between blocks owned by the same rank."""
+        t0 = time.perf_counter()
+        fields = self.fields
+        for block_id, ghost_sl, src_id, src_sl in self._local_copies:
+            fields[block_id].src[ghost_sl] = fields[src_id].src[src_sl]
+        self._record("local copy", time.perf_counter() - t0)
+        self.stats.local_messages += len(self._local_copies)
+        self.stats.local_bytes += self._local_bytes
+        if self.tree is not None:
+            self.tree.add_counter("comm.local_bytes", self._local_bytes)
+
+
+class BufferSystem(_Executor):
+    """SPMD ghost exchange over persistent message buffers.
 
     Parameters
     ----------
     plan:
-        The rank's per-face :class:`~repro.comm.ghostlayer.RankGhostPlan`
-        (coalesced internally) or a ready :class:`CoalescedPlan`.
+        The rank's :class:`~repro.comm.ghostlayer.RankGhostPlan`; laid
+        out by :func:`coalesce_plan` — one message per peer rank here,
+        one per (block, face) in
+        :class:`~repro.comm.ghostlayer.SpmdGhostExchange`.
     fields:
-        Mapping block id -> object with a ``src`` PDF grid.
+        Mapping block id -> object with a ``src`` PDF grid (a
+        :class:`~repro.core.field.PdfField` works).
     comm:
         A :class:`~repro.comm.vmpi.Comm` or
         :class:`~repro.comm.vmpi.ReliableComm`; with the latter every
-        bulk message is sequence-numbered and recoverable, so the
-        exchange stays bit-identical under any non-crash fault schedule.
+        message is sequence-numbered and recoverable, so the exchange
+        stays bit-identical under any non-crash fault schedule.
     tree:
-        Optional timing tree; pack/wire/unpack times are recorded under
-        the caller's current scope and the ``comm.messages_coalesced`` /
-        ``comm.coalesced_bytes`` counters accumulate.
+        Optional timing tree; pack/local copy/wire/unpack times are
+        recorded under the caller's current scope and the ``comm.*``
+        byte and message counters accumulate.
 
     :meth:`exchange` runs the three phases :meth:`start` (pack and
     post), :meth:`local` (same-rank copies) and :meth:`finish` (drain
@@ -222,65 +335,36 @@ class BufferSystem:
         comm,
         tree: Optional[TimingTree] = None,
     ):
-        if isinstance(plan, RankGhostPlan):
-            plan = coalesce_plan(plan, fields)
-        self.plan: CoalescedPlan = plan
-        self.fields = fields
+        self.plan = coalesce_plan(plan, fields, self.per_face)
+        super().__init__(fields, self.plan.local_copies, tree)
         self.comm = comm
-        self.tree = tree
         # Persistent send buffers: allocated once, reused every step.
-        self._send_bufs: Dict[int, np.ndarray] = {
-            msg.peer: np.empty(msg.elements, dtype=np.float64)
-            for msg in plan.sends
-        }
-        self._recv_channels = [(msg.peer, BULK_TAG) for msg in plan.recvs]
+        self._send_bufs = [
+            np.empty(msg.elements, dtype=np.float64) for msg in self.plan.sends
+        ]
+        self._packs = [
+            _spans(msg, buf) for msg, buf in zip(self.plan.sends, self._send_bufs)
+        ]
+        self._sent_bytes = sum(msg.nbytes for msg in self.plan.sends)
+        self._recv_channels = [(msg.peer, msg.tag) for msg in self.plan.recvs]
         self._requests: list = []
 
-    # -- accounting ---------------------------------------------------------
-    def _record(self, name: str, seconds: float) -> None:
-        if self.tree is not None:
-            self.tree.record(name, seconds)
+    def start(self) -> None:
+        """Pack all outgoing payloads and post one isend per message.
 
-    def _count(self, name: str, value: float) -> None:
-        if self.tree is not None:
-            self.tree.add_counter(name, value)
-
-    # -- the three phases ---------------------------------------------------
-    def start(self) -> int:
-        """Pack all outgoing payloads and post one isend per peer.
-
-        Returns the bytes posted.  Buffers are owned by this object and
-        reused next step (see the module's buffer-reuse contract).
+        Buffers are owned by this object and reused next step (see the
+        module's buffer-reuse contract).
         """
         t0 = time.perf_counter()
-        sent = 0
         self._requests = []
-        for msg in self.plan.sends:
-            buf = self._send_bufs[msg.peer]
-            for seg in msg.segments:
-                np.copyto(
-                    buf[seg.start:seg.stop].reshape(seg.shape),
-                    self.fields[seg.block_id].src[seg.slices],
-                )
-            sent += msg.nbytes
-            self._requests.append(
-                self.comm.isend(buf, dest=msg.peer, tag=BULK_TAG)
-            )
+        for msg, buf, spans in zip(self.plan.sends, self._send_bufs, self._packs):
+            self._pack(spans)
+            self._requests.append(self.comm.isend(buf, dest=msg.peer, tag=msg.tag))
         self._record("pack", time.perf_counter() - t0)
-        self._count("comm.messages_coalesced", len(self.plan.sends))
-        self._count("comm.coalesced_bytes", sent)
-        return sent
-
-    def local(self) -> None:
-        """Direct copies between blocks owned by this rank."""
-        t0 = time.perf_counter()
-        fields = self.fields
-        for block_id, ghost_sl, src_id, src_sl in self.plan.local_copies:
-            fields[block_id].src[ghost_sl] = fields[src_id].src[src_sl]
-        self._record("local copy", time.perf_counter() - t0)
+        self._sent(len(self._send_bufs), self._sent_bytes)
 
     def finish(self) -> None:
-        """Drain incoming bulk messages (arrival order) and unpack.
+        """Drain incoming messages (arrival order) and unpack.
 
         Wire-wait and unpack times are recorded separately, so the
         timing tree shows how long the rank waited for its peers.
@@ -299,14 +383,10 @@ class BufferSystem:
             flat = np.asarray(data)
             if flat.size != msg.elements:
                 raise CommunicationError(
-                    f"bulk message from rank {msg.peer}: got {flat.size} "
-                    f"elements, expected {msg.elements}"
+                    f"message from rank {msg.peer} (tag {msg.tag}): got "
+                    f"{flat.size} elements, expected {msg.elements}"
                 )
-            flat = flat.reshape(-1)
-            for seg in msg.segments:
-                self.fields[seg.block_id].src[seg.slices] = flat[
-                    seg.start:seg.stop
-                ].reshape(seg.shape)
+            self._unpack(_spans(msg, flat.reshape(-1)))
             unpack += time.perf_counter() - t0
             t0 = time.perf_counter()
         for req in self._requests:
@@ -315,24 +395,24 @@ class BufferSystem:
         self._record("wire", wire)
         self._record("unpack", unpack)
 
-    def exchange(self) -> int:
-        """One full bulk exchange: ``start`` + ``local`` + ``finish``."""
-        sent = self.start()
+    def exchange(self) -> None:
+        """One full exchange: ``start`` + ``local`` + ``finish``."""
+        self.start()
         self.local()
         self.finish()
-        return sent
 
 
-class CoalescedGhostExchange:
-    """In-process bulk exchange for the direct-copy simulation driver.
+class CoalescedGhostExchange(_Executor):
+    """In-process ghost exchange for the direct-copy simulation driver.
 
-    Remote copy specs (those crossing virtual-process boundaries) are
-    grouped by ordered rank pair and staged through one persistent
-    buffer per pair — the shared-address-space twin of
-    :class:`BufferSystem`, byte-accounted in the same
-    :class:`~repro.comm.ghostlayer.CommStats` ledger the per-face
-    :class:`~repro.comm.ghostlayer.GhostExchange` fills, so the
-    performance models can consume either mode unchanged.
+    ``plans[r]`` is virtual rank ``r``'s
+    :class:`~repro.comm.ghostlayer.RankGhostPlan`.  Each rank's send
+    messages (one per ordered rank pair here, one per (block, face) in
+    :class:`~repro.comm.ghostlayer.GhostExchange`) are packed into a
+    persistent buffer and unpacked with the peer's matching receive
+    layout — the shared-address-space twin of :class:`BufferSystem`,
+    byte-accounted in the same :class:`CommStats` ledger, so the
+    performance models consume either mode unchanged.
 
     ``exchange()`` runs ``start()`` (pack and local copies) and then
     ``finish()`` (unpack).
@@ -340,101 +420,61 @@ class CoalescedGhostExchange:
 
     def __init__(
         self,
+        plans: Sequence,
         fields: Dict[object, object],
-        specs: Sequence[CopySpec],
-        block_rank: Dict[object, int],
         tree: Optional[TimingTree] = None,
     ):
         if not fields:
             raise CommunicationError("no fields to exchange")
-        self.fields = fields
-        self.tree = tree
-        self.stats = CommStats()
-        self._local_ops: List[Tuple[object, tuple, object, tuple]] = []
-        by_pair: Dict[Tuple[int, int], List[Tuple[int, CopySpec]]] = {}
-        for s in specs:
-            if s.dst_key not in fields or s.src_key not in fields:
-                raise CommunicationError(
-                    f"copy spec references unknown block: {s}"
-                )
-            dst_sl = (slice(None),) + ghost_slices(s.offset)
-            src_sl = (slice(None),) + send_slices(
-                tuple(-o for o in s.offset)
+        shapes = {f.src.shape for f in fields.values()}
+        if len(shapes) != 1:
+            raise CommunicationError(f"non-uniform block shapes: {shapes}")
+        layouts = [coalesce_plan(p, fields, self.per_face) for p in plans]
+        super().__init__(
+            fields, [c for lay in layouts for c in lay.local_copies], tree
+        )
+        inbox = {
+            (rank, msg.peer, msg.tag): msg
+            for rank, lay in enumerate(layouts)
+            for msg in lay.recvs
+        }
+        # One persistent buffer per message: packed from the sender's
+        # layout, unpacked through the receiver's.
+        self._packs: list = []
+        self._unpacks: list = []
+        self._sent_bytes = 0
+        #: Remote messages per exchange.
+        self.messages_per_step = 0
+        for rank, lay in enumerate(layouts):
+            for msg in lay.sends:
+                twin = inbox.pop((msg.peer, rank, msg.tag), None)
+                if twin is None or twin.elements != msg.elements:
+                    raise CommunicationError(
+                        f"rank {rank}'s message to rank {msg.peer} "
+                        f"(tag {msg.tag}) has no matching receive"
+                    )
+                buf = np.empty(msg.elements, dtype=np.float64)
+                self._packs += _spans(msg, buf)
+                self._unpacks += _spans(twin, buf)
+                self._sent_bytes += msg.nbytes
+                self.messages_per_step += 1
+        if inbox:
+            raise CommunicationError(
+                f"receives without a sender: {sorted(inbox)}"
             )
-            if not s.remote:
-                self._local_ops.append((s.dst_key, dst_sl, s.src_key, src_sl))
-                continue
-            pair = (block_rank[s.src_key], block_rank[s.dst_key])
-            tag = message_tag(getattr(s.dst_key, "root_index", 0), s.offset)
-            by_pair.setdefault(pair, []).append((tag, s))
-        # One persistent buffer + segment table per ordered rank pair.
-        self._pair_msgs: List[Tuple[Tuple[int, int], np.ndarray, list]] = []
-        for pair in sorted(by_pair):
-            segs = []
-            offset = 0
-            for tag, s in sorted(by_pair[pair], key=lambda e: e[0]):
-                dst_sl = (slice(None),) + ghost_slices(s.offset)
-                src_sl = (slice(None),) + send_slices(
-                    tuple(-o for o in s.offset)
-                )
-                shape = _region_shape(fields[s.src_key].src.shape, src_sl)
-                n = int(np.prod(shape))
-                segs.append(
-                    (s.src_key, src_sl, s.dst_key, dst_sl, shape,
-                     offset, offset + n)
-                )
-                offset += n
-            buf = np.empty(offset, dtype=np.float64)
-            self._pair_msgs.append((pair, buf, segs))
-
-    @property
-    def messages_per_step(self) -> int:
-        """Coalesced messages per exchange: one per ordered rank pair."""
-        return len(self._pair_msgs)
-
-    def _record(self, name: str, seconds: float) -> None:
-        if self.tree is not None:
-            self.tree.record(name, seconds)
-
-    def _count(self, name: str, value: float) -> None:
-        if self.tree is not None:
-            self.tree.add_counter(name, value)
 
     def start(self) -> None:
-        """Pack every rank pair's buffer and run the local copies."""
+        """Pack every message buffer and run the local copies."""
         t0 = time.perf_counter()
-        remote_bytes = 0
-        fields = self.fields
-        for _pair, buf, segs in self._pair_msgs:
-            for src_key, src_sl, _dst, _dst_sl, shape, start, stop in segs:
-                np.copyto(
-                    buf[start:stop].reshape(shape), fields[src_key].src[src_sl]
-                )
-            remote_bytes += buf.nbytes
+        self._pack(self._packs)
         self._record("pack", time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        local_bytes = 0
-        for dst_key, dst_sl, src_key, src_sl in self._local_ops:
-            region = fields[src_key].src[src_sl]
-            fields[dst_key].src[dst_sl] = region
-            local_bytes += region.nbytes
-        self._record("local copy", time.perf_counter() - t0)
-        self.stats.remote_bytes += remote_bytes
-        self.stats.local_bytes += local_bytes
-        self.stats.remote_messages += len(self._pair_msgs)
-        self.stats.local_messages += len(self._local_ops)
-        self._count("comm.messages_coalesced", len(self._pair_msgs))
-        self._count("comm.coalesced_bytes", remote_bytes)
-        self._count("comm.remote_bytes", remote_bytes)
-        self._count("comm.local_bytes", local_bytes)
+        self.local()
+        self._sent(self.messages_per_step, self._sent_bytes)
 
     def finish(self) -> None:
-        """Unpack every rank pair's buffer into the ghost regions."""
+        """Unpack every message buffer into the receivers' ghost regions."""
         t0 = time.perf_counter()
-        fields = self.fields
-        for _pair, buf, segs in self._pair_msgs:
-            for _src, _src_sl, dst_key, dst_sl, shape, start, stop in segs:
-                fields[dst_key].src[dst_sl] = buf[start:stop].reshape(shape)
+        self._unpack(self._unpacks)
         self._record("unpack", time.perf_counter() - t0)
 
     def exchange(self) -> None:

@@ -51,8 +51,8 @@ from ..lbm.kernels.registry import (
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..lbm.macroscopic import density as _density, velocity as _velocity
 from ..perf.timing import TimingTree
-from .buffersystem import COMM_MODES, CoalescedGhostExchange
-from .ghostlayer import CommStats, CopySpec, GhostExchange
+from .buffersystem import COMM_MODES, CoalescedGhostExchange, CommStats
+from .ghostlayer import GhostExchange, build_rank_plan
 
 __all__ = [
     "DistributedSimulation",
@@ -266,13 +266,14 @@ class DistributedSimulation:
         Ghost-exchange strategy (see :mod:`repro.comm.buffersystem`):
 
         ``"per-face"``
-            One staged copy per (block, face) — the baseline.
+            One message per (block, face) — the baseline.
         ``"coalesced"``
-            All traffic between a pair of virtual ranks is staged
-            through one persistent buffer per ordered pair — exactly
-            one message per rank pair per step, zero full-field
-            allocations in steady state (§2.3 of the paper).
+            All traffic between a pair of virtual ranks travels as one
+            message per ordered pair per step (§2.3 of the paper).
             Bit-identical to ``"per-face"``.
+
+        Both stage through persistent buffers, so the steady-state
+        exchange allocates no full-field temporaries.
     exec_mode:
         Intra-rank sweep execution strategy (see :mod:`repro.exec`):
         ``"serial"`` runs every sweep inline; ``"threads"`` gives the
@@ -331,8 +332,8 @@ class DistributedSimulation:
         self.forest = forest
         self.model = model
         self.collision = collision
-        self.views: List[ProcessView] = distribute(forest)
         self.periodic = tuple(bool(p) for p in periodic)
+        self.views: List[ProcessView] = distribute(forest, self.periodic)
         conditions = list(boundaries) if boundaries is not None else [NoSlip()]
         if colors is None:
             colors = default_vascular_colors() if geometry is not None else ColorMap()
@@ -369,18 +370,14 @@ class DistributedSimulation:
         # Wraps every kernel so its calls nest as ``tier:<name>`` under
         # the "kernel" sweep scope.
         self.stepper = RankStepper(self.runtimes, self.engine, tree)
-        specs = self._build_specs()
-        if comm_mode == "per-face":
-            self.exchange = GhostExchange(
-                self.fields,
-                specs,
-                pdf_filter=model if filtered_communication else None,
-                tree=self.timeloop.tree,
+        plans = [
+            build_rank_plan(
+                view, view.rank, model if filtered_communication else None
             )
-        else:
-            self.exchange = CoalescedGhostExchange(
-                self.fields, specs, self.block_rank, tree=self.timeloop.tree
-            )
+            for view in self.views
+        ]
+        executor = GhostExchange if comm_mode == "per-face" else CoalescedGhostExchange
+        self.exchange = executor(plans, self.fields, tree=tree)
         (
             self.timeloop
             .add("communication", self.exchange.exchange)
@@ -388,52 +385,6 @@ class DistributedSimulation:
             .add("kernel", self.stepper.kernel)
             .add("swap", self.stepper.swap)
         )
-
-    # -- construction helpers ---------------------------------------------
-    def _build_specs(self) -> List[CopySpec]:
-        specs: List[CopySpec] = []
-        by_grid = {blk.grid_index: key for key, blk in self.blocks.items()}
-        grid = np.asarray(self.forest.root_grid)
-        for key, blk in self.blocks.items():
-            existing = {n.offset for n in blk.neighbors}
-            for n in blk.neighbors:
-                specs.append(
-                    CopySpec(
-                        dst_key=key,
-                        src_key=n.id,
-                        offset=n.offset,
-                        remote=n.owner != self.block_rank[key],
-                    )
-                )
-            if not any(self.periodic):
-                continue
-            gi = np.asarray(blk.grid_index)
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for dz in (-1, 0, 1):
-                        off = (dx, dy, dz)
-                        if off == (0, 0, 0) or off in existing:
-                            continue
-                        target = gi + off
-                        wraps = (target < 0) | (target >= grid)
-                        if not wraps.any():
-                            continue  # plain missing neighbor (outside geometry)
-                        if np.any(wraps & ~np.asarray(self.periodic)):
-                            continue  # wrap on a non-periodic axis
-                        wrapped = tuple((target % grid).tolist())
-                        src_key = by_grid.get(wrapped)
-                        if src_key is None:
-                            continue
-                        specs.append(
-                            CopySpec(
-                                dst_key=key,
-                                src_key=src_key,
-                                offset=off,
-                                remote=self.block_rank[src_key]
-                                != self.block_rank[key],
-                            )
-                        )
-        return specs
 
     def close(self) -> None:
         """Shut down the sweep engine's worker pool (idempotent)."""
@@ -593,6 +544,7 @@ class DistributedSimulation:
         return self.timeloop.fraction("communication")
 
     def timing_report(self) -> str:
-        """Hierarchical timing tree: sweeps with comm pack/send/unpack
-        sub-scopes and per-tier kernel timers (waLBerla's timing pool)."""
+        """Hierarchical timing tree: sweeps with the comm sub-scopes
+        (pack, local copy, unpack) and per-tier kernel timers
+        (waLBerla's timing pool)."""
         return self.timeloop.timing_report()

@@ -1,29 +1,29 @@
-"""Ghost-layer exchange between blocks (§2.2).
+"""Ghost-layer exchange between blocks (§2.2): which region feeds which.
 
 "The regular grid within each block is extended by one additional ghost
 layer of cells which is used in every time step during communication in
 order to synchronize the cell data on the boundary between neighboring
 blocks."
 
-The exchange is expressed as a precomputed list of copy operations
-(block face/edge/corner regions), executed as direct NumPy copies —
-all virtual processes share one address space — while a
-:class:`CommStats` ledger records how many bytes crossed process
-boundaries, feeding the communication-time models in :mod:`repro.perf`.
+This module turns a rank's block neighborhoods
+(:func:`~repro.blocks.forest.view_for_rank`) into its
+:class:`RankGhostPlan`: which interior slab feeds which ghost region,
+under which message tag.  The buffer system
+(:mod:`repro.comm.buffersystem`) lays the plan out in messages and
+executes it; the per-face classes here only choose its one-segment
+grouping — one message per (block, face) — the baseline the coalesced
+mode is measured against.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.field import PdfField
-from ..errors import CommunicationError, RecvTimeoutError
 from ..lbm.lattice import LatticeModel
-from ..perf.timing import TimingTree
+from .buffersystem import BufferSystem, CoalescedGhostExchange
 
 __all__ = [
     "ghost_slices",
@@ -31,51 +31,11 @@ __all__ = [
     "needed_directions",
     "offset_code",
     "message_tag",
-    "CopySpec",
-    "CommStats",
     "GhostExchange",
     "RankGhostPlan",
     "build_rank_plan",
     "SpmdGhostExchange",
-    "drain_arrival_order",
 ]
-
-
-def drain_arrival_order(comm, channels, probe_timeout: Optional[float] = None):
-    """Receive one message per ``(source, tag)`` channel, yielding
-    ``(channel_index, payload)`` in the order messages actually *arrive*
-    rather than the order channels are listed.
-
-    A fixed-order drain blocks on the first listed channel even when
-    every other expected message is already waiting — head-of-line
-    blocking that PR 2's delay faults turn into serialized timeout
-    rounds.  This helper probes all outstanding channels at once
-    (:meth:`~repro.comm.vmpi.Comm.probe_any`) and consumes whichever is
-    ready first.  When nothing arrives within ``probe_timeout`` it falls
-    back to a blocking receive on the first outstanding channel, which
-    on a :class:`~repro.comm.vmpi.ReliableComm` triggers the
-    timeout/ledger-retransmit recovery path.
-
-    Ghost-region unpacks commute (each (block, side) region has exactly
-    one writer and regions are disjoint), so consuming in arrival order
-    is bit-identical to plan order — asserted by the chaos reorder tests.
-    """
-    pending = list(range(len(channels)))
-    while pending:
-        if len(pending) == 1:
-            k = 0
-        else:
-            try:
-                k = comm.probe_any(
-                    [channels[i] for i in pending], timeout=probe_timeout
-                )
-            except RecvTimeoutError:
-                # Nothing arrived: fall back to plan order; a resilient
-                # channel then recovers via its retransmission ledger.
-                k = 0
-        i = pending.pop(k)
-        source, tag = channels[i]
-        yield i, comm.recv(source, tag)
 
 
 def needed_directions(
@@ -146,7 +106,8 @@ class RankGhostPlan:
     ``sends``/``recvs`` entries are ``(peer_rank, tag, block_id,
     slices)``; ``local_copies`` entries are ``(dst_block_id, ghost_sl,
     src_block_id, src_sl)`` for neighbor pairs owned by the same rank.
-    The plan is fixed for the lifetime of the run — only payloads move.
+    Both drivers build it with :func:`build_rank_plan`; it is fixed for
+    the lifetime of the run — only payloads move.
     """
 
     sends: Tuple[Tuple[int, int, object, tuple], ...]
@@ -154,7 +115,19 @@ class RankGhostPlan:
     local_copies: Tuple[Tuple[object, tuple, object, tuple], ...]
 
 
-def build_rank_plan(view, rank: int) -> RankGhostPlan:
+def _directions(pdf_filter: Optional[LatticeModel], offset):
+    """Index of the PDF axis copied into a ghost region at ``offset``:
+    every direction, or with ``pdf_filter`` only those the block pulls
+    (``None`` when it pulls none, e.g. a D3Q19 corner)."""
+    if pdf_filter is None:
+        return slice(None)
+    needed = needed_directions(pdf_filter, offset)
+    return np.asarray(needed, dtype=np.int64) if needed else None
+
+
+def build_rank_plan(
+    view, rank: int, pdf_filter: Optional[LatticeModel] = None
+) -> RankGhostPlan:
     """Build the send/recv/local-copy plan for one rank's block view.
 
     For every neighbor ``n`` of a local block at offset ``off``, the
@@ -162,6 +135,11 @@ def build_rank_plan(view, rank: int) -> RankGhostPlan:
     interior face toward us (its send region for direction ``-off``);
     symmetrically the neighbor needs our face toward it, tagged from its
     perspective (we sit at offset ``-off``).
+
+    ``pdf_filter`` (a lattice model) restricts every region to the PDF
+    directions the receiving block pulls from it (5/19 per face, 1/19
+    per edge, 0/19 per corner for D3Q19) — an ablation the paper's
+    scheme does *not* apply (see :func:`needed_directions`).
     """
     sends: List[Tuple[int, int, object, tuple]] = []
     recvs: List[Tuple[int, int, object, tuple]] = []
@@ -169,250 +147,34 @@ def build_rank_plan(view, rank: int) -> RankGhostPlan:
     for blk in view.blocks:
         for n in blk.neighbors:
             off = n.offset
-            ghost_sl = (slice(None),) + ghost_slices(off)
-            src_sl = (slice(None),) + send_slices(tuple(-o for o in off))
-            if n.owner == rank:
-                local_copies.append((blk.id, ghost_sl, n.id, src_sl))
-            else:
-                recvs.append(
-                    (n.owner, message_tag(blk.id.root_index, off), blk.id, ghost_sl)
-                )
-                my_send_sl = (slice(None),) + send_slices(off)
-                sends.append(
-                    (
-                        n.owner,
-                        message_tag(n.id.root_index, tuple(-o for o in off)),
-                        blk.id,
-                        my_send_sl,
-                    )
-                )
+            back = tuple(-o for o in off)
+            into_us = _directions(pdf_filter, off)
+            into_them = _directions(pdf_filter, back)
+            if into_us is not None:
+                ghost_sl = (into_us,) + ghost_slices(off)
+                if n.owner == rank:
+                    src_sl = (into_us,) + send_slices(back)
+                    local_copies.append((blk.id, ghost_sl, n.id, src_sl))
+                else:
+                    tag = message_tag(blk.id.root_index, off)
+                    recvs.append((n.owner, tag, blk.id, ghost_sl))
+            if into_them is not None and n.owner != rank:
+                tag = message_tag(n.id.root_index, back)
+                send_sl = (into_them,) + send_slices(off)
+                sends.append((n.owner, tag, blk.id, send_sl))
     return RankGhostPlan(tuple(sends), tuple(recvs), tuple(local_copies))
 
 
-class SpmdGhostExchange:
-    """Executes a :class:`RankGhostPlan` by explicit message passing.
+class GhostExchange(CoalescedGhostExchange):
+    """In-process per-face exchange: the buffer system grouped one
+    segment per message, one message per (block, face) crossing a
+    virtual-rank boundary — the baseline ``comm_mode``."""
 
-    ``comm`` may be a plain :class:`~repro.comm.vmpi.Comm` or a
-    :class:`~repro.comm.vmpi.ReliableComm`; with the latter, every
-    message carries a sequence number, duplicates are discarded, and
-    dropped or delayed messages are recovered by timeout/retransmit with
-    backoff — the exchange result is then bit-identical under any
-    non-crash fault schedule.  ``fields`` maps block id to an object
-    with a ``src`` grid (a :class:`~repro.core.field.PdfField` works).
-
-    Each call fires all sends, performs the same-rank direct copies,
-    then drains the expected receives; with ``tree`` set the three
-    stages are timed as ``pack+send`` / ``local copy`` / ``recv+unpack``
-    sub-scopes under the caller's ``communication`` sweep.
-    """
-
-    def __init__(
-        self,
-        plan: RankGhostPlan,
-        fields: Dict[object, "PdfField"],
-        comm,
-        tree: Optional[TimingTree] = None,
-    ):
-        for _, _, block_id, _ in plan.sends + plan.recvs:
-            if block_id not in fields:
-                raise CommunicationError(
-                    f"ghost plan references unknown block {block_id}"
-                )
-        self.plan = plan
-        self.fields = fields
-        self.comm = comm
-        self.tree = tree
-
-    def _scope(self, name: str):
-        return self.tree.scoped(name) if self.tree is not None else nullcontext()
-
-    def exchange(self) -> int:
-        """Run one full ghost exchange; returns bytes sent to other ranks.
-
-        Sends are posted non-blocking (``isend``); receives are drained
-        in *arrival order* via :func:`drain_arrival_order`, so one
-        delayed peer no longer serializes the unpacking of every message
-        behind it in the plan.
-        """
-        plan = self.plan
-        fields = self.fields
-        comm = self.comm
-        sent_bytes = 0
-        requests = []
-        with self._scope("pack+send"):
-            for dest, tag, block_id, sl in plan.sends:
-                payload = np.ascontiguousarray(fields[block_id].src[sl])
-                sent_bytes += payload.nbytes
-                requests.append(comm.isend(payload, dest=dest, tag=tag))
-        with self._scope("local copy"):
-            for block_id, ghost_sl, src_id, src_sl in plan.local_copies:
-                fields[block_id].src[ghost_sl] = fields[src_id].src[src_sl]
-        with self._scope("recv+unpack"):
-            channels = [(source, tag) for source, tag, _, _ in plan.recvs]
-            probe_timeout = getattr(comm, "retry_timeout", None)
-            for i, data in drain_arrival_order(comm, channels, probe_timeout):
-                _source, _tag, block_id, ghost_sl = plan.recvs[i]
-                region = fields[block_id].src[ghost_sl]
-                if data.shape != region.shape:
-                    raise CommunicationError(
-                        f"ghost region shape mismatch: got {data.shape}, "
-                        f"expected {region.shape}"
-                    )
-                region[...] = data
-            for req in requests:
-                req.wait()
-        return sent_bytes
+    per_face = True
 
 
-@dataclass(frozen=True)
-class CopySpec:
-    """One ghost-region update: ``dst`` pulls from ``src``.
+class SpmdGhostExchange(BufferSystem):
+    """SPMD per-face exchange: every (block, face) payload travels as its
+    own message under its per-face tag, from a persistent buffer."""
 
-    ``offset`` points from the destination block toward the source
-    block; ``remote`` marks copies between different virtual processes
-    (real MPI messages on a cluster).
-    """
-
-    dst_key: object
-    src_key: object
-    offset: Tuple[int, int, int]
-    remote: bool
-
-
-@dataclass
-class CommStats:
-    """Per-step communication ledger."""
-
-    local_bytes: int = 0
-    remote_bytes: int = 0
-    local_messages: int = 0
-    remote_messages: int = 0
-
-    def reset(self) -> None:
-        self.local_bytes = 0
-        self.remote_bytes = 0
-        self.local_messages = 0
-        self.remote_messages = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.local_bytes + self.remote_bytes
-
-
-class GhostExchange:
-    """Executes a fixed set of ghost-layer copies between block PDF fields.
-
-    Parameters
-    ----------
-    fields:
-        Mapping block key -> :class:`~repro.core.field.PdfField`.  The
-        exchange always reads and writes the fields' *current* ``src``
-        grids, so the src/dst swap at the end of each time step needs no
-        rebinding.  All fields must have identical shape (uniform blocks,
-        as in every simulation of the paper).
-    specs:
-        The copy operations; build them once from the block forest.
-    pdf_filter:
-        When set to a lattice model, only the PDF directions a block can
-        actually pull from each ghost region are copied (5/19 per face,
-        1/19 per edge, 0/19 per corner for D3Q19) — an optimization the
-        paper's scheme does *not* apply; exposed here as an ablation.
-    tree:
-        Optional :class:`~repro.perf.timing.TimingTree`.  When set, each
-        exchange is split into ``pack`` / ``send/recv`` / ``unpack``
-        sub-scopes for remote copies (staged through contiguous buffers,
-        exactly the structure of an MPI ghost exchange) plus a ``local
-        copy`` scope, all nesting under the caller's ``communication``
-        sweep; byte totals feed the ``comm.*_bytes`` counters.  The
-        resulting field state is bit-identical to the un-instrumented
-        path.
-    """
-
-    def __init__(
-        self,
-        fields: Dict[object, PdfField],
-        specs: List[CopySpec],
-        pdf_filter: Optional[LatticeModel] = None,
-        tree: Optional[TimingTree] = None,
-    ):
-        if not fields:
-            raise CommunicationError("no fields to exchange")
-        shapes = {f.src.shape for f in fields.values()}
-        if len(shapes) != 1:
-            raise CommunicationError(f"non-uniform block shapes: {shapes}")
-        for s in specs:
-            if s.dst_key not in fields or s.src_key not in fields:
-                raise CommunicationError(f"copy spec references unknown block: {s}")
-        self.fields = fields
-        self.specs = specs
-        self.pdf_filter = pdf_filter
-        self.tree = tree
-        self.stats = CommStats()
-        # Precompute slice tuples (prepend the PDF-direction axis).
-        self._ops = []
-        for s in specs:
-            if pdf_filter is None:
-                dirs: object = slice(None)
-            else:
-                needed = needed_directions(pdf_filter, s.offset)
-                if not needed:
-                    continue  # e.g. D3Q19 corners carry no pulled PDFs
-                dirs = np.asarray(needed, dtype=np.int64)
-            dst_sl = (dirs,) + ghost_slices(s.offset)
-            src_sl = (dirs,) + send_slices(tuple(-o for o in s.offset))
-            self._ops.append((s, dst_sl, src_sl))
-
-    def exchange(self) -> None:
-        """Run all copies once (call at the start of every time step)."""
-        if self.tree is not None:
-            self._exchange_instrumented(self.tree)
-            return
-        for s, dst_sl, src_sl in self._ops:
-            dst = self.fields[s.dst_key].src
-            src = self.fields[s.src_key].src
-            region = src[src_sl]
-            dst[dst_sl] = region
-            nbytes = region.nbytes
-            if s.remote:
-                self.stats.remote_bytes += nbytes
-                self.stats.remote_messages += 1
-            else:
-                self.stats.local_bytes += nbytes
-                self.stats.local_messages += 1
-
-    def _exchange_instrumented(self, tree: TimingTree) -> None:
-        """The same exchange, staged through pack/send/unpack scopes.
-
-        Remote copies go through contiguous staging buffers (the MPI
-        message an exchange on a cluster would post); local copies stay
-        direct.  Reads touch only interior send regions and writes only
-        ghost regions, so staging cannot change the result.
-        """
-        local_bytes = 0
-        remote_bytes = 0
-        with tree.scoped("pack"):
-            staged = []
-            for s, dst_sl, src_sl in self._ops:
-                if s.remote:
-                    buf = np.ascontiguousarray(self.fields[s.src_key].src[src_sl])
-                    staged.append((s, dst_sl, buf))
-        with tree.scoped("local copy"):
-            for s, dst_sl, src_sl in self._ops:
-                if not s.remote:
-                    region = self.fields[s.src_key].src[src_sl]
-                    self.fields[s.dst_key].src[dst_sl] = region
-                    local_bytes += region.nbytes
-                    self.stats.local_messages += 1
-        with tree.scoped("send/recv"):
-            # One shared address space: the "wire" transfer is the buffer
-            # handoff itself; the ledger still counts it as a message.
-            for s, _dst_sl, buf in staged:
-                remote_bytes += buf.nbytes
-                self.stats.remote_messages += 1
-        with tree.scoped("unpack"):
-            for s, dst_sl, buf in staged:
-                self.fields[s.dst_key].src[dst_sl] = buf
-        self.stats.local_bytes += local_bytes
-        self.stats.remote_bytes += remote_bytes
-        tree.add_counter("comm.local_bytes", local_bytes)
-        tree.add_counter("comm.remote_bytes", remote_bytes)
+    per_face = True

@@ -138,17 +138,17 @@ def spmd_rank_program(
     every (exec_mode, workers) choice.  ``None`` selects ``"threads"``
     when ``workers > 1``.
 
-    ``comm_mode`` selects the exchange strategy (both bit-identical):
-    ``"per-face"`` sends one message per (block, face);
-    ``"coalesced"`` routes everything through a
-    :class:`~repro.comm.buffersystem.BufferSystem` — exactly one
-    message per peer rank per step, packed into persistent buffers
-    (zero full-field allocations in steady state).
+    ``comm_mode`` selects the exchange strategy (both bit-identical,
+    both executed by a :class:`~repro.comm.buffersystem.BufferSystem`
+    from persistent buffers, so the steady state allocates no
+    full-field temporaries): ``"per-face"`` sends one message per
+    (block, face); ``"coalesced"`` exactly one message per peer rank
+    per step.
 
-    ``tree`` enables per-rank timing: communication (with pack+send /
-    local copy / recv+unpack sub-scopes), boundary, kernel, swap, the
+    ``tree`` enables per-rank timing: communication (with pack / local
+    copy / wire / unpack sub-scopes), boundary, kernel, swap, the
     per-step sync barrier, and checkpoint writes each get a scope, and
-    cell/byte counters (plus the resilient layer's ``comm.timeouts`` /
+    cell/byte/message counters (plus the resilient layer's ``comm.timeouts`` /
     ``comm.retransmits`` / ``comm.duplicates_dropped`` recovery
     counters) are accumulated — reduce the per-rank trees afterwards
     with :func:`~repro.perf.timing.reduce_trees`.
@@ -188,10 +188,8 @@ def spmd_rank_program(
         else comm
     )
     fields = {bid: rt.field for bid, rt in runtimes.items()}
-    if comm_mode == "per-face":
-        exchange = SpmdGhostExchange(plan, fields, channel, tree=tree)
-    else:
-        exchange = BufferSystem(plan, fields, channel, tree=tree)
+    executor = SpmdGhostExchange if comm_mode == "per-face" else BufferSystem
+    exchange = executor(plan, fields, channel, tree=tree)
 
     def scope(name: str):
         return tree.scoped(name) if tree is not None else nullcontext()
@@ -216,9 +214,7 @@ def spmd_rank_program(
                 comm.fault_tick(step)
             # 1. communication: fire all sends, then drain the recvs.
             with scope("communication"):
-                sent_bytes = exchange.exchange()
-            if tree is not None:
-                tree.add_counter("comm.remote_bytes", sent_bytes)
+                exchange.exchange()
             # 2./3./4. boundary handling, kernel, swap.
             with scope("boundary"):
                 stepper.boundary()

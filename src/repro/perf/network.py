@@ -41,23 +41,19 @@ def exchange_time_from_counters(
     """Predicted per-step exchange time from *measured* comm counters.
 
     Validates a network model against an actual run: reads the
-    bulk-coalesced counters the buffer system accumulates in the timing
-    tree (``comm.messages_coalesced`` / ``comm.coalesced_bytes``; falls
-    back to the per-face ``comm.remote_bytes`` ledger when the run used
-    ``comm_mode="per-face"``), converts them to the per-node per-step
-    quantities the models are parameterized in, and returns
-    ``model.exchange_time``.  Because coalescing changes the message
-    count (one per rank pair instead of one per block face) without
-    changing the byte volume, comparing the prediction across modes
-    isolates the latency term of the model.
+    ``comm.remote_messages`` / ``comm.remote_bytes`` counters the ghost
+    exchange accumulates in the timing tree (in either ``comm_mode``),
+    converts them to the per-node per-step quantities the models are
+    parameterized in, and returns ``model.exchange_time``.  Because
+    coalescing changes the message count (one per rank pair instead of
+    one per block face) without changing the byte volume, comparing
+    the prediction across modes isolates the latency term of the model.
     """
     if steps < 1 or ranks < 1:
         raise ValueError("steps and ranks must be >= 1")
     get = counters.get if hasattr(counters, "get") else counters.counters.get
-    messages = float(get("comm.messages_coalesced", 0.0))
-    nbytes = float(get("comm.coalesced_bytes", 0.0))
-    if nbytes == 0.0:
-        nbytes = float(get("comm.remote_bytes", 0.0))
+    messages = float(get("comm.remote_messages", 0.0))
+    nbytes = float(get("comm.remote_bytes", 0.0))
     messages_per_node = messages / steps / ranks
     bytes_per_node = nbytes / steps / ranks
     return model.exchange_time(

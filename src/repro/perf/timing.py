@@ -62,8 +62,7 @@ KNOWN_COUNTERS: Dict[str, str] = {
     "fluid_cell_updates": "fluid-only cell updates (MFLUPS numerator)",
     "comm.local_bytes": "ghost bytes exchanged process-locally",
     "comm.remote_bytes": "ghost bytes sent over the transport",
-    "comm.messages_coalesced": "bulk messages sent by the BufferSystem",
-    "comm.coalesced_bytes": "payload bytes in coalesced bulk messages",
+    "comm.remote_messages": "ghost messages sent over the transport",
     "comm.seq_messages": "sequence-numbered envelopes sent (ReliableComm)",
     "comm.timeouts": "receive timeouts observed by ReliableComm",
     "comm.retransmits": "messages recovered from the retransmission ledger",

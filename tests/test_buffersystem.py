@@ -126,6 +126,24 @@ class TestCoalescedPlan:
             assert pos == msg.elements
             assert msg.nbytes == msg.elements * 8
 
+    def test_per_face_grouping_is_one_segment_per_message(self):
+        forest = _dense_forest()
+        sim = _dense_sim("per-face")
+        fields = {
+            bid: sim.fields[bid]
+            for bid in sim.fields
+            if sim.block_rank[bid] == 0
+        }
+        rank_plan = build_rank_plan(view_for_rank(forest, 0), 0)
+        plan = coalesce_plan(rank_plan, fields, per_face=True)
+        assert plan.messages_per_step == len(rank_plan.sends)
+        for msg in plan.sends + plan.recvs:
+            (seg,) = msg.segments
+            assert msg.tag == seg.tag >= 0
+            assert (seg.start, seg.stop) == (0, msg.elements)
+        keys = [(m.peer, m.tag) for m in plan.sends]
+        assert keys == sorted(set(keys))
+
     def test_send_recv_layouts_mirror_across_ranks(self):
         forest = _dense_forest()
         sim = _dense_sim("per-face")
@@ -189,7 +207,7 @@ class TestBitIdentityAcrossModes:
         pairs = sim.exchange.messages_per_step
         steps = 7
         sim.run(steps)
-        counted = sim.timeloop.tree.counters["comm.messages_coalesced"]
+        counted = sim.timeloop.tree.counters["comm.remote_messages"]
         assert counted == pairs * steps
         # 2x2x2 grid on 4 ranks: every ordered rank pair with shared
         # faces/edges sends exactly one message per step, never one per
@@ -213,11 +231,75 @@ class TestBitIdentityAcrossModes:
         assert "invalid choice: 'overlap'" in capsys.readouterr().err
 
 
+def _walls(grid, periodic):
+    """Flag setter: no-slip walls on the outer layers of every
+    non-periodic axis."""
+
+    def setter(blk, ff):
+        for axis, (n, wrap) in enumerate(zip(grid, periodic)):
+            lead = (slice(None),) * axis
+            if not wrap and blk.grid_index[axis] == 0:
+                ff.data[lead + (0,)] = fl.NO_SLIP
+            if not wrap and blk.grid_index[axis] == n - 1:
+                ff.data[lead + (-1,)] = fl.NO_SLIP
+
+    return setter
+
+
+class TestPeriodicAcrossModes:
+    """Periodic wrap (built by ``view_for_rank``) on a 2x1x1 grid: the
+    same state bit for bit in every ``comm_mode`` on 1 and 2 ranks."""
+
+    GRID = (2, 1, 1)
+    STEPS = 10
+
+    def _run(self, periodic, mode, ranks):
+        forest = SetupBlockForest.create(
+            AABB((0, 0, 0), (2.0, 1.0, 1.0)), self.GRID, (4, 4, 4)
+        )
+        balance_forest(forest, ranks, strategy="round_robin")
+        sim = DistributedSimulation(
+            forest,
+            TRT.from_tau(0.7),
+            boundaries=[NoSlip()],
+            flag_setter=_walls(self.GRID, periodic),
+            periodic=periodic,
+            comm_mode=mode,
+        )
+        for key, blk in sim.blocks.items():
+            field = sim.fields[key]
+            field.set_equilibrium(rho=1.0, u=(0.03, 0.01, -0.02))
+            rng = np.random.default_rng(blk.grid_index[0])
+            field.src[...] *= 1.0 + 1e-3 * rng.random(field.src.shape)
+        mass = sim.total_mass()
+        sim.run(self.STEPS)
+        assert np.isclose(sim.total_mass(), mass, rtol=1e-12)
+        return sim
+
+    @pytest.mark.parametrize(
+        "periodic",
+        [
+            # y and z have extent 1: each block is its own neighbor.
+            (False, True, True),
+            # x has extent 2: the other block is both the -x and +x
+            # neighbor.
+            (True, False, False),
+        ],
+        ids=["own-neighbor", "both-sides"],
+    )
+    def test_bit_identical_across_modes_and_ranks(self, periodic):
+        ref = self._run(periodic, "per-face", 1)
+        for mode in COMM_MODES:
+            for ranks in (1, 2):
+                _fields_identical(self._run(periodic, mode, ranks), ref)
+
+
 class TestSteadyStateAllocations:
-    def test_comm_path_allocation_free_after_warmup(self):
-        """After warm-up, one coalesced exchange must not allocate any
-        field-sized temporary (the persistent-buffer contract)."""
-        sim = _dense_sim("coalesced")
+    @pytest.mark.parametrize("mode", COMM_MODES)
+    def test_comm_path_allocation_free_after_warmup(self, mode):
+        """After warm-up, one exchange must not allocate any field-sized
+        temporary (the persistent-buffer contract), in either mode."""
+        sim = _dense_sim(mode)
         sim.run(3)  # warm-up: scratch caches and buffers filled
         exchange = sim.exchange
         # A full ghost layer of the 5^3 block is 19 * 5 * 5 floats; set
@@ -308,7 +390,7 @@ class TestSpmdBufferSystem:
             expected += len(view.neighbor_ranks())
         reduced = reduce_trees(trees)
         assert (
-            reduced.counters["comm.messages_coalesced"]
+            reduced.counters["comm.remote_messages"]
             == expected * self.STEPS
         )
 
@@ -316,7 +398,7 @@ class TestSpmdBufferSystem:
         trees = [TimingTree() for _ in range(self.RANKS)]
         self._run("coalesced", trees=trees)
         reduced = reduce_trees(trees)
-        assert reduced.counters["comm.coalesced_bytes"] > 0
+        assert reduced.counters["comm.remote_bytes"] > 0
         # The per-rank step keeps the same sweep scopes as in-process.
         for sweep in ("communication", "boundary", "kernel", "swap", "sync"):
             assert reduced.node(sweep) is not None

@@ -7,12 +7,14 @@ import pytest
 from repro import flagdefs as fl
 from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest
+from repro.blocks import distribute
 from repro.comm import (
     Comm,
-    CopySpec,
     DistributedSimulation,
     GhostExchange,
+    RankGhostPlan,
     VirtualMPI,
+    build_rank_plan,
     ghost_slices,
     send_slices,
 )
@@ -149,46 +151,64 @@ class TestGhostSlices:
         assert arr[ghost_slices((-1, -1, -1))].shape == (1, 1, 1)
 
     def test_exchange_moves_face_data(self):
-        fa = PdfField(D3Q19, (4, 4, 4))
-        fb = PdfField(D3Q19, (4, 4, 4))
+        fields, plans = _pair_plans(ranks=2)
+        fa, fb = fields.values()
         fa.src[...] = 1.0
         fb.src[...] = 2.0
-        ex = GhostExchange(
-            {"a": fa, "b": fb},
-            [
-                CopySpec("a", "b", (1, 0, 0), remote=True),
-                CopySpec("b", "a", (-1, 0, 0), remote=True),
-            ],
-        )
+        ex = GhostExchange(plans, fields)
         ex.exchange()
         # a's +x ghost face now holds b's first interior layer.
         assert np.all(fa.src[:, -1, 1:-1, 1:-1] == 2.0)
         assert np.all(fb.src[:, 0, 1:-1, 1:-1] == 1.0)
         assert ex.stats.remote_messages == 2
         assert ex.stats.remote_bytes == 2 * 19 * 4 * 4 * 8
+        assert ex.stats.local_messages == 0
 
     def test_exchange_follows_swap(self):
-        fa = PdfField(D3Q19, (3, 3, 3))
-        fb = PdfField(D3Q19, (3, 3, 3))
-        ex = GhostExchange(
-            {"a": fa, "b": fb}, [CopySpec("a", "b", (1, 0, 0), remote=False)]
-        )
+        fields, plans = _pair_plans(ranks=1, cells=(3, 3, 3))
+        fa, fb = fields.values()
+        ex = GhostExchange(plans, fields)
         fb.dst[...] = 9.0
         fa.swap()
         fb.swap()  # now fb.src is the 9.0 grid
         ex.exchange()
         assert np.all(fa.src[:, -1, 1:-1, 1:-1] == 9.0)
+        # Both blocks on one rank: two local copies, no message.
+        assert ex.stats.remote_messages == 0
+        assert ex.stats.local_messages == 2
+        assert ex.stats.local_bytes == 2 * 19 * 3 * 3 * 8
+
+    def test_empty_rejected(self):
+        with pytest.raises(CommunicationError):
+            GhostExchange([], {})
 
     def test_mismatched_shapes_rejected(self):
         fa = PdfField(D3Q19, (4, 4, 4))
         fb = PdfField(D3Q19, (4, 4, 5))
         with pytest.raises(CommunicationError):
-            GhostExchange({"a": fa, "b": fb}, [])
+            GhostExchange([], {"a": fa, "b": fb})
 
     def test_unknown_key_rejected(self):
-        fa = PdfField(D3Q19, (4, 4, 4))
-        with pytest.raises(CommunicationError):
-            GhostExchange({"a": fa}, [CopySpec("a", "zz", (1, 0, 0), False)])
+        fields, plans = _pair_plans(ranks=1)
+        first = next(iter(fields))
+        with pytest.raises(CommunicationError, match="unknown block"):
+            GhostExchange(plans, {first: fields[first]})
+
+    def test_unmatched_message_rejected(self):
+        # Rank 1's plan lacks the receive rank 0 sends to it.
+        fields, plans = _pair_plans(ranks=2)
+        lonely = RankGhostPlan(plans[1].sends, (), ())
+        with pytest.raises(CommunicationError, match="no matching receive"):
+            GhostExchange([plans[0], lonely], fields)
+
+
+def _pair_plans(ranks, cells=(4, 4, 4)):
+    """Two blocks side by side along x on ``ranks`` virtual ranks: their
+    fields and every rank's ghost plan."""
+    forest = SetupBlockForest.create(AABB((0, 0, 0), (2, 1, 1)), (2, 1, 1), cells)
+    balance_forest(forest, ranks, strategy="round_robin")
+    fields = {b.id: PdfField(D3Q19, b.cells) for b in forest.blocks}  # x order
+    return fields, [build_rank_plan(v, v.rank) for v in distribute(forest)]
 
 
 def _lid_setter(root_grid):

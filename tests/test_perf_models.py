@@ -178,25 +178,52 @@ class TestExchangeTimeFromCounters:
     def test_coalesced_counters(self):
         # 4 ranks x 10 steps, 6 messages and 1 MB per rank per step.
         counters = {
-            "comm.messages_coalesced": 6.0 * 4 * 10,
-            "comm.coalesced_bytes": 1e6 * 4 * 10,
+            "comm.remote_messages": 6.0 * 4 * 10,
+            "comm.remote_bytes": 1e6 * 4 * 10,
         }
         t = exchange_time_from_counters(self.NET, counters, steps=10, ranks=4)
         assert t == pytest.approx(6e-6 + 1e-3)
 
-    def test_per_face_fallback(self):
-        # No coalesced counters: the per-face byte ledger is used.
-        counters = {"comm.remote_bytes": 2e6 * 2 * 5}
-        t = exchange_time_from_counters(self.NET, counters, steps=5, ranks=2)
-        assert t == pytest.approx(2e-3)
+    def test_per_face_run_predicts_longer_exchange(self):
+        """Measured per-face and coalesced SPMD runs move the same bytes,
+        but per-face sends more messages: its counters must price the
+        extra latency (a per-face run recording no message count would
+        predict the same time as coalesced)."""
+        from repro.balance import balance_forest
+        from repro.blocks import SetupBlockForest
+        from repro.comm import VirtualMPI, run_spmd_simulation
+        from repro.geometry import AABB
+        from repro.lbm import NoSlip, TRT
+        from repro.perf.timing import TimingTree, reduce_trees
+
+        forest = SetupBlockForest.create(
+            AABB((0, 0, 0), (2.0, 2.0, 1.0)), (2, 2, 1), (4, 4, 4)
+        )
+        balance_forest(forest, 2, strategy="morton")
+        counters = {}
+        for mode in ("per-face", "coalesced"):
+            trees = [TimingTree(), TimingTree()]
+            run_spmd_simulation(
+                VirtualMPI(2), forest, TRT.from_tau(0.7), 3,
+                conditions=[NoSlip()], timing_trees=trees, comm_mode=mode,
+            )
+            counters[mode] = reduce_trees(trees).counters
+        per_face, coalesced = counters["per-face"], counters["coalesced"]
+        assert per_face["comm.remote_bytes"] == coalesced["comm.remote_bytes"]
+        assert per_face["comm.remote_messages"] > coalesced["comm.remote_messages"]
+        t = {
+            mode: exchange_time_from_counters(self.NET, c, steps=3, ranks=2)
+            for mode, c in counters.items()
+        }
+        assert t["per-face"] > t["coalesced"]
 
     def test_accepts_reduced_tree(self):
         from repro.perf.timing import TimingTree, reduce_trees
 
         tree = TimingTree()
         with tree.scoped("communication"):
-            tree.add_counter("comm.messages_coalesced", 30.0)
-            tree.add_counter("comm.coalesced_bytes", 3e6)
+            tree.add_counter("comm.remote_messages", 30.0)
+            tree.add_counter("comm.remote_bytes", 3e6)
         reduced = reduce_trees([tree])
         t = exchange_time_from_counters(self.NET, reduced, steps=3, ranks=1)
         assert t == pytest.approx(10e-6 + 1e-3)
@@ -226,7 +253,7 @@ class TestExchangeTimeFromCounters:
             comm_mode="coalesced",
         )
         counters = reduce_trees(trees).counters
-        assert counters.get("comm.messages_coalesced", 0) > 0
+        assert counters.get("comm.remote_messages", 0) > 0
         for machine in (JUQUEEN, SUPERMUC):
             t = exchange_time_from_counters(
                 network_for(machine), counters, steps=4, ranks=2, job_nodes=2

@@ -5,15 +5,26 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocks import BlockId
+from repro.blocks import BlockId, SetupBlockForest, distribute
 from repro.balance import curve_split, morton_key
-from repro.comm import CopySpec, GhostExchange
+from repro.comm import CoalescedGhostExchange, GhostExchange, build_rank_plan
 from repro.core import PdfField
+from repro.geometry import AABB
 from repro.lbm import D3Q19, SRT, TRT
 from repro.lbm.equilibrium import equilibrium_cell
 from repro.lbm.kernels import make_kernel
 
 from helpers import interior, periodic_ghost_fill
+
+
+def _chain(owners, cells):
+    """A chain of blocks along x, block ``i`` on rank ``owners[i]``: the
+    blocks (x order) and every rank's ghost plan."""
+    n = len(owners)
+    forest = SetupBlockForest.create(AABB((0, 0, 0), (n, 1, 1)), (n, 1, 1), cells)
+    forest.assign(list(owners), max(owners) + 1)
+    plans = [build_rank_plan(v, v.rank) for v in distribute(forest)]
+    return [b.id for b in forest.blocks], plans
 
 
 class TestGhostExchangeProperties:
@@ -22,32 +33,30 @@ class TestGhostExchangeProperties:
     def test_chain_exchange_preserves_interiors(self, seed, n_blocks):
         """Ghost exchange only writes ghost layers — interiors never change."""
         rng = np.random.default_rng(seed)
-        fields = {}
-        for i in range(n_blocks):
-            f = PdfField(D3Q19, (4, 4, 4))
-            f.src[...] = rng.random(f.src.shape)
-            fields[i] = f
-        specs = []
-        for i in range(n_blocks - 1):
-            specs.append(CopySpec(i, i + 1, (1, 0, 0), remote=(i % 2 == 0)))
-            specs.append(CopySpec(i + 1, i, (-1, 0, 0), remote=(i % 2 == 0)))
-        interiors = {i: interior(f.src).copy() for i, f in fields.items()}
-        GhostExchange(fields, specs).exchange()
-        for i, f in fields.items():
-            assert np.array_equal(interior(f.src), interiors[i])
+        # Neighbor pairs alternate between two ranks and one rank.
+        ids, plans = _chain([(i + 1) // 2 for i in range(n_blocks)], (4, 4, 4))
+        for executor in (GhostExchange, CoalescedGhostExchange):
+            fields = {}
+            for bid in ids:
+                f = PdfField(D3Q19, (4, 4, 4))
+                f.src[...] = rng.random(f.src.shape)
+                fields[bid] = f
+            interiors = {k: interior(f.src).copy() for k, f in fields.items()}
+            executor(plans, fields).exchange()
+            for k, f in fields.items():
+                assert np.array_equal(interior(f.src), interiors[k])
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_exchange_transfers_exact_face(self, seed):
         rng = np.random.default_rng(seed)
+        ids, plans = _chain([0, 1], (3, 3, 3))
         a = PdfField(D3Q19, (3, 3, 3))
         b = PdfField(D3Q19, (3, 3, 3))
         a.src[...] = rng.random(a.src.shape)
         b.src[...] = rng.random(b.src.shape)
         face = b.src[:, 1:2, 1:-1, 1:-1].copy()
-        GhostExchange(
-            {0: a, 1: b}, [CopySpec(0, 1, (1, 0, 0), remote=True)]
-        ).exchange()
+        GhostExchange(plans, dict(zip(ids, (a, b)))).exchange()
         assert np.array_equal(a.src[:, -1:, 1:-1, 1:-1], face)
 
 
