@@ -2,10 +2,12 @@
 
 * **AoS vs SoA layout** (§4.1: "the SoA layout was chosen") — the same
   fused kernel on both layouts.
-* **Full vs direction-filtered ghost exchange** (§2.2/§4.3: the paper
-  sends complete ghost layers; filtering to the pulled directions moves
-  ~4.7x less data for D3Q19 without changing a single bit of the
-  results).
+* **Full vs fluid-pruned ghost exchange** (§2.2/§4.3: the paper sends
+  complete ghost layers; the drivers send only the ghost values a fluid
+  cell pulls — on this all-fluid cavity exactly the pulled directions,
+  ~4.7x less data for D3Q19 — without changing a single bit of the
+  fluid results).  The full baseline is an executor over plans built
+  without FLUID masks.
 * **Write-allocate vs non-temporal-store roofline** (§4.1 footnote of
   the traffic model: 456 vs 304 B per update).
 """
@@ -16,7 +18,7 @@ import pytest
 from repro import flagdefs as fl
 from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest
-from repro.comm import DistributedSimulation
+from repro.comm import DistributedSimulation, GhostExchange, build_rank_plan
 from repro.geometry import AABB
 from repro.lbm import D3Q19, NoSlip, TRT, UBB
 from repro.lbm.kernels import make_kernel
@@ -56,7 +58,7 @@ def test_aos_matches_soa_bitwise():
     assert np.allclose(aos_to_soa(dst_aos)[interior], dst[interior], atol=1e-14)
 
 
-def _cavity_sim(filtered: bool):
+def _cavity_sim():
     forest = SetupBlockForest.create(AABB((0, 0, 0), (2, 2, 2)), (2, 2, 2), (6, 6, 6))
     balance_forest(forest, 4, strategy="round_robin")
 
@@ -81,26 +83,42 @@ def _cavity_sim(filtered: bool):
         TRT.from_tau(0.8),
         flag_setter=lid,
         boundaries=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
-        filtered_communication=filtered,
     )
 
 
-@pytest.mark.parametrize("filtered", [False, True], ids=["full", "filtered"])
-def test_ghost_exchange_cost(benchmark, filtered):
-    sim = _cavity_sim(filtered)
-    benchmark(sim.exchange.exchange)
-    benchmark.extra_info["bytes_per_step"] = sim.comm_stats.total_bytes
+def _exchange(sim, plan: str):
+    """The driver's own (pruned) exchange, or one over full regions."""
+    if plan == "pruned":
+        return sim.exchange
+    return GhostExchange([build_rank_plan(v, v.rank) for v in sim.views], sim.fields)
 
 
-def test_filtered_exchange_identical_and_smaller():
-    full = _cavity_sim(False)
-    filt = _cavity_sim(True)
-    full.run(20)
-    filt.run(20)
-    assert np.nanmax(np.abs(full.gather_density() - filt.gather_density())) == 0.0
-    assert np.nanmax(np.abs(full.gather_velocity() - filt.gather_velocity())) == 0.0
-    ratio = full.comm_stats.total_bytes / filt.comm_stats.total_bytes
-    print(f"\nghost bytes, full/filtered: {ratio:.2f}x (D3Q19 faces: 19/5)")
+def _run(sim, exchange, steps: int):
+    for _ in range(steps):
+        exchange.exchange()
+        sim.stepper.boundary()
+        sim.stepper.kernel()
+        sim.stepper.swap()
+
+
+@pytest.mark.parametrize("plan", ["full", "pruned"])
+def test_ghost_exchange_cost(benchmark, plan):
+    sim = _cavity_sim()
+    exchange = _exchange(sim, plan)
+    exchange.exchange()
+    benchmark.extra_info["bytes_per_step"] = exchange.stats.total_bytes
+    benchmark(exchange.exchange)
+
+
+def test_pruned_exchange_identical_and_smaller():
+    full, pruned = _cavity_sim(), _cavity_sim()
+    full_exchange = _exchange(full, "full")
+    _run(full, full_exchange, 20)
+    _run(pruned, pruned.exchange, 20)
+    assert np.nanmax(np.abs(full.gather_density() - pruned.gather_density())) == 0.0
+    assert np.nanmax(np.abs(full.gather_velocity() - pruned.gather_velocity())) == 0.0
+    ratio = full_exchange.stats.total_bytes / pruned.comm_stats.total_bytes
+    print(f"\nghost bytes, full/pruned: {ratio:.2f}x (D3Q19 faces: 19/5)")
     assert ratio > 3.0
 
 

@@ -41,6 +41,7 @@ from repro.comm import (
     build_rank_plan,
     run_spmd_simulation,
 )
+from repro.comm.distributed import build_block_flags
 from repro.geometry import AABB
 from repro.lbm import NoSlip, TRT, UBB
 from repro.perf.machines import JUQUEEN, SUPERMUC
@@ -83,11 +84,20 @@ def _forest():
 
 def _per_face_messages_per_step(forest) -> int:
     """What the per-face path posts each step: one send per (block, face)
-    with a remote neighbor, summed over all ranks."""
-    return sum(
-        len(build_rank_plan(view_for_rank(forest, r), r).sends)
-        for r in range(RANKS)
-    )
+    with a remote neighbor and a value a fluid cell pulls, summed over
+    all ranks — plans built from the blocks' FLUID masks, as the
+    drivers build them."""
+    total = 0
+    for r in range(RANKS):
+        view = view_for_rank(forest, r)
+        fluid = {
+            blk.id: build_block_flags(blk, flag_setter=_lid_setter).mask(
+                fl.FLUID, include_ghost=True
+            )
+            for blk in view.blocks
+        }
+        total += len(build_rank_plan(view, r, fluid).sends)
+    return total
 
 
 def _run(mode: str):

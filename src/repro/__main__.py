@@ -36,8 +36,8 @@ pool, §4 of the paper).  On its own — ``python -m repro --profile`` —
 it runs the lid-driven cavity as an SPMD program over virtual MPI
 ranks, prints the rank-reduced (min/avg/max) timing tree with the
 per-sweep communication fraction, and writes a machine-readable JSON
-report (``--profile-json``, default ``repro_profile.json``); add
-``--profile-csv`` for a flat per-scope CSV.  Combined with ``cavity``
+report when ``--profile-json PATH`` is given; add ``--profile-csv`` for
+a flat per-scope CSV.  Combined with ``cavity``
 or ``coronary`` it profiles that scenario instead.  See
 ``docs/profiling.md``.
 """
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 
 def _cmd_info(_args) -> int:
@@ -107,7 +108,7 @@ def _cmd_figures(args) -> int:
 
 def _emit_profile(timeloop, args, scenario: str, derived=None) -> None:
     """Print the reduced timing tree + comm breakdown for one in-process
-    run and write the JSON (and optional CSV) report."""
+    run and write the requested JSON and CSV reports."""
     from .harness import format_comm_breakdown, format_timing_tree
     from .perf.timing import reduce_trees
 
@@ -122,20 +123,20 @@ def _emit_profile(timeloop, args, scenario: str, derived=None) -> None:
         print("derived metrics:")
         for k, v in derived.items():
             print(f"  {k:<28s} {v:,.3f}")
-    json_path = args.profile_json or "repro_profile.json"
-    payload = {
-        "schema": "repro.profile/1",
-        "scenario": scenario,
-        "ranks": 1,
-        "steps": timeloop.steps_run,
-        "derived": dict(derived or {}),
-        "timing": reduced.to_dict(),
-    }
-    import json
+    if args.profile_json:
+        import json
 
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    print(f"wrote {json_path}")
+        payload = {
+            "schema": "repro.profile/1",
+            "scenario": scenario,
+            "ranks": 1,
+            "steps": timeloop.steps_run,
+            "derived": dict(derived or {}),
+            "timing": reduced.to_dict(),
+        }
+        with open(args.profile_json, "w") as fh:
+            json.dump(payload, fh, indent=2)
+        print(f"wrote {args.profile_json}")
     if args.profile_csv:
         _write_profile_csv(reduced, args.profile_csv)
         print(f"wrote {args.profile_csv}")
@@ -165,9 +166,9 @@ def _cmd_profile(args) -> int:
         ranks=args.profile_ranks, steps=args.profile_steps
     )
     print(result.report())
-    json_path = args.profile_json or "repro_profile.json"
-    result.to_json(json_path)
-    print(f"\nwrote {json_path}")
+    if args.profile_json:
+        result.to_json(args.profile_json)
+        print(f"\nwrote {args.profile_json}")
     if args.profile_csv:
         result.to_csv(args.profile_csv)
         print(f"wrote {args.profile_csv}")
@@ -379,18 +380,26 @@ def _cmd_coronary(args) -> int:
         print(f"restarted from {args.checkpoint} at step {done}")
     if args.checkpoint_every:
         sim.enable_checkpointing(args.checkpoint, args.checkpoint_every)
-    sim.run(max(0, args.steps - done))
+    steps = max(0, args.steps - done)
+    t0 = time.perf_counter()
+    sim.run(steps)
+    wall = time.perf_counter() - t0
+    # Wall MFLUPS: fluid cell updates over the wall time of the whole
+    # step; the kernel scope alone is reported beside it.
+    mflups = sim.total_fluid_cells() * steps / wall / 1e6 if wall > 0 else 0.0
     print(
         f"coronary tree ({tree.n_segments} segments), {forest.n_blocks} blocks "
         f"on {args.ranks} ranks, {args.steps} steps: "
-        f"{sim.mflups():.2f} MFLUPS, comm {100 * sim.comm_fraction():.1f}%"
+        f"{mflups:.2f} MFLUPS, {sim.mflups():.2f} kernel MFLUPS, "
+        f"comm {100 * sim.comm_fraction():.1f}%"
     )
     sim.close()
     if args.profile:
         _emit_profile(
             sim.timeloop, args, "coronary pipeline",
             derived={
-                "MFLUPS": sim.mflups(),
+                "MFLUPS": mflups,
+                "kernel MFLUPS": sim.mflups(),
                 "comm fraction": sim.comm_fraction(),
             },
         )
@@ -414,7 +423,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--profile-json", type=str, default=None, metavar="PATH",
-        help="JSON report path (default repro_profile.json)",
+        help="also write the report as JSON to PATH",
     )
     parser.add_argument(
         "--profile-csv", type=str, default=None, metavar="PATH",

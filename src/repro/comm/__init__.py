@@ -27,6 +27,7 @@ from .ghostlayer import (
     RankGhostPlan,
     SpmdGhostExchange,
     build_rank_plan,
+    check_ghost_flags,
     ghost_slices,
     message_tag,
     needed_directions,
@@ -46,6 +47,7 @@ __all__ = [
     "CommStats", "GhostExchange", "ghost_slices",
     "needed_directions", "send_slices",
     "RankGhostPlan", "SpmdGhostExchange", "build_rank_plan",
+    "check_ghost_flags",
     "drain_arrival_order", "message_tag", "offset_code",
     "Comm", "ReliableComm", "Request", "VirtualMPI",
 ]

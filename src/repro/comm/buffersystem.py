@@ -23,7 +23,10 @@ message, carrying its per-face tag.  Either way every payload is packed
 into a **persistent preallocated** send buffer, so the steady-state
 exchange performs zero heap allocations of field-sized temporaries,
 mirroring the allocation-free ethos of
-:class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel`.
+:class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel`.  Each
+phase — pack, same-rank copy, unpack — is one call of a compiled
+element copy (:class:`~repro.lbm.kernels.compiled.CopyTable`) over a
+table of plan indices built once.
 
 Layout determinism
 ------------------
@@ -60,6 +63,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import CommunicationError, RecvTimeoutError
+from ..lbm.kernels.compiled import AddressTable, CopyTable
 from ..perf.timing import TimingTree
 
 __all__ = [
@@ -109,14 +113,13 @@ class BufferSegment:
     """One (block, side) payload's position inside a message buffer.
 
     ``start``/``stop`` are *element* offsets into the flat message
-    buffer; ``slices`` indexes the block's padded PDF field and
-    ``shape`` is the region's shape (pack reshapes the flat span to it).
+    buffer; ``index`` holds the matching flat element indices into the
+    block's PDF grid (see :class:`~repro.comm.ghostlayer.RankGhostPlan`).
     """
 
     tag: int
     block_id: object
-    slices: tuple
-    shape: Tuple[int, ...]
+    index: np.ndarray
     start: int
     stop: int
 
@@ -161,8 +164,7 @@ def coalesce_plan(plan, fields, per_face: bool = False) -> CoalescedPlan:
     ordered by ``(peer, tag)`` and segments within a message by tag, so
     a sender's layout and its peer's receive layout agree without ever
     being exchanged.  ``fields`` maps block id to an object with a
-    ``src`` grid, used only to size segments (shapes are fixed for the
-    run).
+    ``src`` grid; every block the plan names must be in it.
     """
     for dst_id, _, src_id, _ in plan.local_copies:
         for block_id in (dst_id, src_id):
@@ -173,24 +175,22 @@ def coalesce_plan(plan, fields, per_face: bool = False) -> CoalescedPlan:
 
     def layout(entries) -> Tuple[PeerMessage, ...]:
         groups: Dict[Tuple[int, int], list] = {}
-        for peer, tag, block_id, sl in entries:
+        for peer, tag, block_id, index in entries:
             if block_id not in fields:
                 raise CommunicationError(
                     f"ghost plan references unknown block {block_id}"
                 )
             key = (peer, tag if per_face else BULK_TAG)
-            groups.setdefault(key, []).append((tag, block_id, sl))
+            groups.setdefault(key, []).append((tag, block_id, index))
         messages = []
         for (peer, msg_tag), items in sorted(groups.items()):
             segs = []
             offset = 0
-            for tag, block_id, sl in sorted(items, key=lambda e: e[0]):
-                shape = fields[block_id].src[sl].shape
-                n = int(np.prod(shape))
+            for tag, block_id, index in sorted(items, key=lambda e: e[0]):
                 segs.append(
-                    BufferSegment(tag, block_id, sl, shape, offset, offset + n)
+                    BufferSegment(tag, block_id, index, offset, offset + len(index))
                 )
-                offset += n
+                offset += len(index)
             messages.append(PeerMessage(peer, msg_tag, tuple(segs), offset))
         return tuple(messages)
 
@@ -236,48 +236,91 @@ def drain_arrival_order(comm, channels, probe_timeout: Optional[float] = None):
         yield i, comm.recv(source, tag)
 
 
-def _spans(msg: PeerMessage, flat: np.ndarray) -> list:
-    """``(span of flat, block id, slices)`` for every segment of ``msg``,
-    each span reshaped to its ghost region."""
-    return [
-        (flat[seg.start:seg.stop].reshape(seg.shape), seg.block_id, seg.slices)
-        for seg in msg.segments
-    ]
+class _Payload:
+    """A persistent one-entry address table, pointed at each received
+    message before it is unpacked."""
+
+    __slots__ = ("arrays", "ptr", "_addr")
+
+    def __init__(self):
+        self._addr = np.zeros(1, dtype=np.uintp)
+        self.ptr = self._addr.ctypes.data
+        self.arrays = (None,)
+
+    def bind(self, flat: np.ndarray) -> None:
+        self._addr[0] = flat.ctypes.data
+        self.arrays = (flat,)
 
 
 class _Executor:
-    """What both executors share: the message layout's pack and unpack,
-    the same-rank copies, and the byte/message accounting.
+    """What both executors share: the blocks' address tables for both
+    grid parities, the same-rank copies as one :class:`CopyTable`, and
+    the byte/message accounting.
 
-    ``per_face`` selects the grouping :func:`coalesce_plan` lays out;
-    the per-face subclasses in :mod:`repro.comm.ghostlayer` set it.
+    Every phase is one :class:`~repro.lbm.kernels.compiled.CopyTable`
+    call over element tables built here once; a block's slot is its
+    position in ``fields``.  ``per_face`` selects the grouping
+    :func:`coalesce_plan` lays out; the per-face subclasses in
+    :mod:`repro.comm.ghostlayer` set it.
     """
 
     per_face = False
 
     def __init__(self, fields, local_copies, tree: Optional[TimingTree]):
+        if not fields:
+            raise CommunicationError("no fields to exchange")
+        shapes = {f.src.shape for f in fields.values()}
+        if len(shapes) != 1:
+            raise CommunicationError(f"non-uniform block shapes: {shapes}")
         self.fields = fields
         self.tree = tree
         self.stats = CommStats()
-        self._local_copies = local_copies
-        self._local_bytes = sum(
-            fields[src_id].src[src_sl].nbytes
-            for _, _, src_id, src_sl in local_copies
+        self._fields = list(fields.values())
+        for f in self._fields:
+            for grid in (f.src, f.dst):
+                if grid.dtype != np.float64 or not grid.flags.c_contiguous:
+                    raise CommunicationError(
+                        "ghost exchange needs C-contiguous float64 PDF grids"
+                    )
+        self._slot = {block_id: i for i, block_id in enumerate(fields)}
+        #: Element count of every block slot (the grids' flat sizes).
+        self._sizes = [f.src.size for f in self._fields]
+        # Both grid parities, bound once: tables[0] while every block's
+        # ``src`` is the grid it had at construction, tables[1] after
+        # an odd number of swaps.
+        self._tables = (
+            AddressTable([f.src for f in self._fields]),
+            AddressTable([f.dst for f in self._fields]),
         )
+        slot = self._slot
+        self._local = CopyTable(
+            [(slot[d], gi, slot[s], si) for d, gi, s, si in local_copies],
+            self._sizes, self._sizes,
+        )
+        self._local_messages = len(local_copies)
+        self._local_bytes = self._local.elements * 8
+
+    def _blocks(self) -> AddressTable:
+        """The address table of the blocks' current ``src`` grids.
+
+        Raises :class:`CommunicationError` when the blocks are not all
+        at the same parity (one swapped out of step with the others)
+        or a grid was replaced: copying would read the wrong grid.
+        """
+        fields = self._fields
+        table = self._tables[fields[0].src is not self._tables[0].arrays[0]]
+        arrays = table.arrays
+        for i in range(len(fields)):
+            if fields[i].src is not arrays[i]:
+                raise CommunicationError(
+                    f"block {list(self.fields)[i]}'s src grid is not at the "
+                    "parity of the others (swapped out of step or replaced)"
+                )
+        return table
 
     def _record(self, name: str, seconds: float) -> None:
         if self.tree is not None:
             self.tree.record(name, seconds)
-
-    def _pack(self, spans: list) -> None:
-        fields = self.fields
-        for span, block_id, sl in spans:
-            np.copyto(span, fields[block_id].src[sl])
-
-    def _unpack(self, spans: list) -> None:
-        fields = self.fields
-        for span, block_id, sl in spans:
-            fields[block_id].src[sl] = span
 
     def _sent(self, messages: int, nbytes: int) -> None:
         """Account one step's outgoing messages."""
@@ -290,11 +333,10 @@ class _Executor:
     def local(self) -> None:
         """Direct copies between blocks owned by the same rank."""
         t0 = time.perf_counter()
-        fields = self.fields
-        for block_id, ghost_sl, src_id, src_sl in self._local_copies:
-            fields[block_id].src[ghost_sl] = fields[src_id].src[src_sl]
+        blocks = self._blocks()
+        self._local(blocks, blocks)
         self._record("local copy", time.perf_counter() - t0)
-        self.stats.local_messages += len(self._local_copies)
+        self.stats.local_messages += self._local_messages
         self.stats.local_bytes += self._local_bytes
         if self.tree is not None:
             self.tree.add_counter("comm.local_bytes", self._local_bytes)
@@ -311,7 +353,7 @@ class BufferSystem(_Executor):
         one per (block, face) in
         :class:`~repro.comm.ghostlayer.SpmdGhostExchange`.
     fields:
-        Mapping block id -> object with a ``src`` PDF grid (a
+        Mapping block id -> object with ``src``/``dst`` PDF grids (a
         :class:`~repro.core.field.PdfField` works).
     comm:
         A :class:`~repro.comm.vmpi.Comm` or
@@ -325,7 +367,8 @@ class BufferSystem(_Executor):
 
     :meth:`exchange` runs the three phases :meth:`start` (pack and
     post), :meth:`local` (same-rank copies) and :meth:`finish` (drain
-    and unpack) in order.
+    and unpack) in order.  Packing all messages is one copy call, and
+    so is unpacking one received message.
     """
 
     def __init__(
@@ -342,9 +385,27 @@ class BufferSystem(_Executor):
         self._send_bufs = [
             np.empty(msg.elements, dtype=np.float64) for msg in self.plan.sends
         ]
-        self._packs = [
-            _spans(msg, buf) for msg, buf in zip(self.plan.sends, self._send_bufs)
+        self._send_table = AddressTable(self._send_bufs)
+        slot = self._slot
+        self._pack = CopyTable(
+            [
+                (i, slice(seg.start, seg.stop), slot[seg.block_id], seg.index)
+                for i, msg in enumerate(self.plan.sends)
+                for seg in msg.segments
+            ],
+            [msg.elements for msg in self.plan.sends], self._sizes,
+        )
+        self._unpacks = [
+            CopyTable(
+                [
+                    (slot[seg.block_id], seg.index, 0, slice(seg.start, seg.stop))
+                    for seg in msg.segments
+                ],
+                self._sizes, [msg.elements],
+            )
+            for msg in self.plan.recvs
         ]
+        self._payload = _Payload()
         self._sent_bytes = sum(msg.nbytes for msg in self.plan.sends)
         self._recv_channels = [(msg.peer, msg.tag) for msg in self.plan.recvs]
         self._requests: list = []
@@ -357,8 +418,8 @@ class BufferSystem(_Executor):
         """
         t0 = time.perf_counter()
         self._requests = []
-        for msg, buf, spans in zip(self.plan.sends, self._send_bufs, self._packs):
-            self._pack(spans)
+        self._pack(self._send_table, self._blocks())
+        for msg, buf in zip(self.plan.sends, self._send_bufs):
             self._requests.append(self.comm.isend(buf, dest=msg.peer, tag=msg.tag))
         self._record("pack", time.perf_counter() - t0)
         self._sent(len(self._send_bufs), self._sent_bytes)
@@ -373,6 +434,7 @@ class BufferSystem(_Executor):
         wire = 0.0
         unpack = 0.0
         probe_timeout = getattr(self.comm, "retry_timeout", None)
+        blocks = self._blocks()
         t0 = time.perf_counter()
         for i, data in drain_arrival_order(
             self.comm, self._recv_channels, probe_timeout
@@ -380,13 +442,14 @@ class BufferSystem(_Executor):
             wire += time.perf_counter() - t0
             t0 = time.perf_counter()
             msg = self.plan.recvs[i]
-            flat = np.asarray(data)
+            flat = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
             if flat.size != msg.elements:
                 raise CommunicationError(
                     f"message from rank {msg.peer} (tag {msg.tag}): got "
                     f"{flat.size} elements, expected {msg.elements}"
                 )
-            self._unpack(_spans(msg, flat.reshape(-1)))
+            self._payload.bind(flat)
+            self._unpacks[i](blocks, self._payload)
             unpack += time.perf_counter() - t0
             t0 = time.perf_counter()
         for req in self._requests:
@@ -412,7 +475,8 @@ class CoalescedGhostExchange(_Executor):
     persistent buffer and unpacked with the peer's matching receive
     layout — the shared-address-space twin of :class:`BufferSystem`,
     byte-accounted in the same :class:`CommStats` ledger, so the
-    performance models consume either mode unchanged.
+    performance models consume either mode unchanged.  Pack, local copy
+    and unpack are one copy call each over all virtual ranks.
 
     ``exchange()`` runs ``start()`` (pack and local copies) and then
     ``finish()`` (unpack).
@@ -424,11 +488,6 @@ class CoalescedGhostExchange(_Executor):
         fields: Dict[object, object],
         tree: Optional[TimingTree] = None,
     ):
-        if not fields:
-            raise CommunicationError("no fields to exchange")
-        shapes = {f.src.shape for f in fields.values()}
-        if len(shapes) != 1:
-            raise CommunicationError(f"non-uniform block shapes: {shapes}")
         layouts = [coalesce_plan(p, fields, self.per_face) for p in plans]
         super().__init__(
             fields, [c for lay in layouts for c in lay.local_copies], tree
@@ -438,11 +497,12 @@ class CoalescedGhostExchange(_Executor):
             for rank, lay in enumerate(layouts)
             for msg in lay.recvs
         }
-        # One persistent buffer per message: packed from the sender's
-        # layout, unpacked through the receiver's.
-        self._packs: list = []
-        self._unpacks: list = []
-        self._sent_bytes = 0
+        # Every message occupies its own span of one persistent buffer:
+        # packed from the sender's layout, unpacked through the
+        # receiver's.
+        packs: list = []
+        unpacks: list = []
+        offset = 0
         #: Remote messages per exchange.
         self.messages_per_step = 0
         for rank, lay in enumerate(layouts):
@@ -453,20 +513,27 @@ class CoalescedGhostExchange(_Executor):
                         f"rank {rank}'s message to rank {msg.peer} "
                         f"(tag {msg.tag}) has no matching receive"
                     )
-                buf = np.empty(msg.elements, dtype=np.float64)
-                self._packs += _spans(msg, buf)
-                self._unpacks += _spans(twin, buf)
-                self._sent_bytes += msg.nbytes
+                for seg in msg.segments:
+                    span = slice(offset + seg.start, offset + seg.stop)
+                    packs.append((0, span, self._slot[seg.block_id], seg.index))
+                for seg in twin.segments:
+                    span = slice(offset + seg.start, offset + seg.stop)
+                    unpacks.append((self._slot[seg.block_id], seg.index, 0, span))
+                offset += msg.elements
                 self.messages_per_step += 1
         if inbox:
             raise CommunicationError(
                 f"receives without a sender: {sorted(inbox)}"
             )
+        self._buffer = AddressTable([np.empty(offset, dtype=np.float64)])
+        self._pack = CopyTable(packs, [offset], self._sizes)
+        self._unpack = CopyTable(unpacks, self._sizes, [offset])
+        self._sent_bytes = offset * 8
 
     def start(self) -> None:
         """Pack every message buffer and run the local copies."""
         t0 = time.perf_counter()
-        self._pack(self._packs)
+        self._pack(self._buffer, self._blocks())
         self._record("pack", time.perf_counter() - t0)
         self.local()
         self._sent(self.messages_per_step, self._sent_bytes)
@@ -474,7 +541,7 @@ class CoalescedGhostExchange(_Executor):
     def finish(self) -> None:
         """Unpack every message buffer into the receivers' ghost regions."""
         t0 = time.perf_counter()
-        self._unpack(self._unpacks)
+        self._unpack(self._blocks(), self._buffer)
         self._record("unpack", time.perf_counter() - t0)
 
     def exchange(self) -> None:

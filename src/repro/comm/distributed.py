@@ -52,13 +52,14 @@ from ..lbm.lattice import D3Q19, LatticeModel
 from ..lbm.macroscopic import density as _density, velocity as _velocity
 from ..perf.timing import TimingTree
 from .buffersystem import COMM_MODES, CoalescedGhostExchange, CommStats
-from .ghostlayer import GhostExchange, build_rank_plan
+from .ghostlayer import GhostExchange, build_rank_plan, check_ghost_flags
 
 __all__ = [
     "DistributedSimulation",
     "default_vascular_colors",
     "BlockRuntime",
     "RankStepper",
+    "build_block_flags",
     "build_block_runtime",
 ]
 
@@ -194,6 +195,32 @@ class RankStepper:
             rt.field.swap()
 
 
+def build_block_flags(
+    blk: LocalBlock,
+    geometry: Optional[ImplicitGeometry] = None,
+    flag_setter: Optional[Callable[[LocalBlock, FlagField], None]] = None,
+    colors: Optional[ColorMap] = None,
+    model: LatticeModel = D3Q19,
+) -> FlagField:
+    """One block's padded flag field: voxelized against ``geometry``, or
+    FLUID everywhere (ghost layer included: it mirrors the neighbor's
+    interior, which the fluid-pruned ghost plan reads), then adjusted
+    by ``flag_setter``."""
+    if colors is None:
+        colors = default_vascular_colors() if geometry is not None else ColorMap()
+    ff = FlagField(blk.cells)
+    if geometry is not None:
+        ff.data[...] = voxelize_block(
+            geometry, blk.box, blk.cells, model=model, colors=colors
+        )
+    else:
+        ff.fill(fl.FLUID, include_ghost=True)
+    if flag_setter is not None:
+        flag_setter(blk, ff)
+    ff.validate_exclusive()
+    return ff
+
+
 def build_block_runtime(
     blk: LocalBlock,
     collision: Collision,
@@ -211,18 +238,7 @@ def build_block_runtime(
     during initialization — "every process voxelizes its blocks
     independently" (§2.3).
     """
-    if colors is None:
-        colors = default_vascular_colors() if geometry is not None else ColorMap()
-    ff = FlagField(blk.cells)
-    if geometry is not None:
-        ff.data[...] = voxelize_block(
-            geometry, blk.box, blk.cells, model=model, colors=colors
-        )
-    else:
-        ff.fill(fl.FLUID)
-    if flag_setter is not None:
-        flag_setter(blk, ff)
-    ff.validate_exclusive()
+    ff = build_block_flags(blk, geometry, flag_setter, colors, model)
     field = PdfField(model, blk.cells)
     field.set_equilibrium()
     if bool((ff.interior == fl.OUTSIDE).any()):
@@ -258,10 +274,6 @@ class DistributedSimulation:
         Per-axis periodicity of the (root-grid) domain.
     colors:
         Surface-color -> boundary-flag mapping for voxelization.
-    filtered_communication:
-        Exchange only the PDF directions neighbors can pull (ablation;
-        the paper's scheme sends full ghost layers).  Only available
-        with ``comm_mode="per-face"``.
     comm_mode:
         Ghost-exchange strategy (see :mod:`repro.comm.buffersystem`):
 
@@ -272,8 +284,14 @@ class DistributedSimulation:
             message per ordered pair per step (§2.3 of the paper).
             Bit-identical to ``"per-face"``.
 
-        Both stage through persistent buffers, so the steady-state
-        exchange allocates no full-field temporaries.
+        Both move only the ghost PDF values a fluid cell pulls (the
+        plan is pruned with the blocks' FLUID masks, see
+        :func:`~repro.comm.ghostlayer.build_rank_plan`), stage through
+        persistent buffers, and run each phase as one compiled copy, so
+        the steady-state exchange allocates no full-field temporaries.
+        Construction raises
+        :class:`~repro.errors.GhostFlagMismatchError` when a block's
+        ghost-layer FLUID flags disagree with its neighbor's interior.
     exec_mode:
         Intra-rank sweep execution strategy (see :mod:`repro.exec`):
         ``"serial"`` runs every sweep inline; ``"threads"`` gives the
@@ -303,7 +321,6 @@ class DistributedSimulation:
         model: LatticeModel = D3Q19,
         dense_kernel: str = DEFAULT_DENSE_TIER,
         sparse_kernel: str = DEFAULT_SPARSE_TIER,
-        filtered_communication: bool = False,
         comm_mode: str = "per-face",
         exec_mode: Optional[str] = None,
         workers: int = 1,
@@ -321,10 +338,6 @@ class DistributedSimulation:
         if comm_mode not in COMM_MODES:
             raise ConfigurationError(
                 f"comm_mode must be one of {COMM_MODES}, got {comm_mode!r}"
-            )
-        if filtered_communication and comm_mode != "per-face":
-            raise ConfigurationError(
-                "filtered_communication requires comm_mode='per-face'"
             )
         self.comm_mode = comm_mode
         self.exec_mode = exec_mode
@@ -370,10 +383,14 @@ class DistributedSimulation:
         # Wraps every kernel so its calls nest as ``tier:<name>`` under
         # the "kernel" sweep scope.
         self.stepper = RankStepper(self.runtimes, self.engine, tree)
+        # Every block's flags live in this address space, so the
+        # invariant the pruned plans rest on is checked here.
+        fluid = {
+            k: ff.mask(fl.FLUID, include_ghost=True) for k, ff in self.flags.items()
+        }
+        check_ghost_flags(self.views, fluid)
         plans = [
-            build_rank_plan(
-                view, view.rank, model if filtered_communication else None
-            )
+            build_rank_plan(view, view.rank, fluid, model)
             for view in self.views
         ]
         executor = GhostExchange if comm_mode == "per-face" else CoalescedGhostExchange

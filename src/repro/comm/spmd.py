@@ -32,6 +32,7 @@ from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 
+from .. import flagdefs as fl
 from ..blocks.forest import LocalBlock, view_for_rank
 from ..blocks.setup import SetupBlockForest
 from ..core.flags import FlagField
@@ -177,8 +178,16 @@ def spmd_rank_program(
         for blk in view.blocks
     }
 
-    # Precompute the communication plan and bind the exchange executor.
-    plan = build_rank_plan(view, comm.rank)
+    # Precompute the fluid-pruned communication plan and bind the
+    # exchange executor.  Each rank sees only its own flags, so the
+    # invariant the plan rests on (every ghost layer carries its
+    # neighbor's FLUID bits) is not checked here; a violation that
+    # changes a message's size raises in ``BufferSystem.finish``.
+    fluid = {
+        bid: rt.flags.mask(fl.FLUID, include_ghost=True)
+        for bid, rt in runtimes.items()
+    }
+    plan = build_rank_plan(view, comm.rank, fluid, model)
     channel = (
         ReliableComm(
             comm, retry_timeout=retry_timeout, max_retries=max_retries,

@@ -44,6 +44,12 @@ class RankCrashedError(CommunicationError):
     harnesses can catch it and exercise the checkpoint-restart path."""
 
 
+class GhostFlagMismatchError(CommunicationError):
+    """A block's ghost-layer FLUID flags differ from its neighbor's
+    interior FLUID flags, so sender and receiver of a fluid-pruned ghost
+    plan would select different PDF values."""
+
+
 class LoadBalanceError(ReproError):
     """Load balancing could not satisfy its constraints."""
 

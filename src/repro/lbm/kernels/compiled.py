@@ -25,6 +25,10 @@ host (arXiv:1909.13772, arXiv:1511.07261).  This module is that step:
 * It is loaded with :mod:`ctypes`, whose foreign calls release the GIL:
   slab tasks of the threaded :mod:`repro.exec` engine run truly in
   parallel.
+* The same shared object carries the ghost exchange's element copy
+  (:class:`CopyTable`): one call moves a whole exchange phase — pack,
+  same-rank copy or unpack — over a precomputed table of
+  ``(dst block, dst element, src block, src element)`` rows.
 
 Build and cache: the shared object is keyed by the SHA-256 of the
 generated source, the compiler's path and ``--version``, the flags, the
@@ -66,6 +70,7 @@ from .d3q19 import build_pair_table
 __all__ = [
     "AddressTable",
     "CompiledD3Q19Kernel",
+    "CopyTable",
     "RunTableKernel",
     "fluid_runs",
     "generate_source",
@@ -85,6 +90,9 @@ SYMBOL = "repro_d3q19_pull_trt"
 
 #: Name of the generated run-table C function (sparse blocks).
 RUNS_SYMBOL = "repro_d3q19_runs_trt"
+
+#: Name of the generated element-copy C function (ghost exchange).
+COPY_SYMBOL = "repro_copy_table"
 
 #: Candidate C compiler names, in order of preference.
 _COMPILERS = ("cc", "gcc", "clang")
@@ -174,7 +182,8 @@ def _cell_body(pad: str) -> List[str]:
 
 
 def generate_source() -> str:
-    """C source of the two fused D3Q19 pull + TRT collide loops.
+    """C source of the two fused D3Q19 pull + TRT collide loops and of
+    the ghost exchange's element copy.
 
     The box loop sweeps the interior of one block::
 
@@ -200,6 +209,14 @@ def generate_source() -> str:
     A run's flat start indexes the block's halo-padded spatial array;
     ``src`` and ``dst`` of one block share its strides.  Both loops run
     the per-cell code of :func:`_cell_body`, so they agree bit for bit.
+
+    The element copy runs one :class:`CopyTable`::
+
+        void repro_copy_table(
+            double *const *dst, const double *const *src,  // per slot
+            const ptrdiff_t *rows,   // per element: dst slot, dst element,
+                                     //              src slot, src element
+            ptrdiff_t n)
     """
     lines: List[str] = [
         "#include <stddef.h>",
@@ -243,6 +260,16 @@ def generate_source() -> str:
         "    for (ptrdiff_t z = 0; z < nz; ++z) {",
         *_cell_body("      "),
         "    }",
+        "  }",
+        "}",
+        "",
+        f"void {COPY_SYMBOL}(",
+        "    double *const *dst, const double *const *src,",
+        "    const ptrdiff_t *rows, ptrdiff_t n)",
+        "{",
+        "  for (ptrdiff_t i = 0; i < n; ++i) {",
+        "    const ptrdiff_t *r = rows + 4 * i;",
+        "    dst[r[0]][r[1]] = src[r[2]][r[3]];",
         "  }",
         "}",
         "",
@@ -299,8 +326,9 @@ class _Library:
         self._tmpdir: Optional[str] = None
 
     def function(self, symbol: str = SYMBOL) -> Callable:
-        """The loaded kernel function ``symbol`` (:data:`SYMBOL` or
-        :data:`RUNS_SYMBOL`); raises :class:`KernelBuildError`."""
+        """The loaded function ``symbol`` (:data:`SYMBOL`,
+        :data:`RUNS_SYMBOL` or :data:`COPY_SYMBOL`); raises
+        :class:`KernelBuildError`."""
         with self._lock:
             if self._fns is None and self._error is None:
                 try:
@@ -310,7 +338,8 @@ class _Library:
                     self._error = f"compiled kernel tiers unavailable: {detail}"
                     log.warning(
                         "%s; falling back to the vectorized (dense) and "
-                        "interval (sparse) tiers", self._error,
+                        "interval (sparse) tiers and to NumPy ghost copies",
+                        self._error,
                     )
             if self._error is not None:
                 raise KernelBuildError(self._error)
@@ -371,14 +400,16 @@ class _Library:
                     os.remove(tmp)
         lib = ctypes.CDLL(path)
         box, runs = getattr(lib, SYMBOL), getattr(lib, RUNS_SYMBOL)
+        copy = getattr(lib, COPY_SYMBOL)
         box.argtypes = (
             [ctypes.c_void_p] * 2 + [ctypes.c_ssize_t] * 9 + [ctypes.c_double] * 2
         )
         runs.argtypes = (
             [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 2
         )
-        box.restype = runs.restype = None
-        return {SYMBOL: box, RUNS_SYMBOL: runs}
+        copy.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t]
+        box.restype = runs.restype = copy.restype = None
+        return {SYMBOL: box, RUNS_SYMBOL: runs, COPY_SYMBOL: copy}
 
 
 _LIBRARY = _Library()
@@ -473,6 +504,78 @@ class AddressTable:
         self.arrays = tuple(arrays)
         self._addrs = np.array([a.ctypes.data for a in self.arrays], dtype=np.uintp)
         self.ptr = self._addrs.ctypes.data
+
+
+def _span(sel) -> np.ndarray:
+    """Element indices of a :class:`CopyTable` selection."""
+    return np.arange(sel.start, sel.stop) if isinstance(sel, slice) else sel
+
+
+class CopyTable:
+    """One phase of the ghost exchange as one element copy:
+    ``dst[d][i] = src[s][j]`` for every row of a precomputed table.
+
+    ``segments`` are ``(dst slot, dst elements, src slot, src elements)``
+    tuples.  A slot is a position in the :class:`AddressTable` passed as
+    ``dst`` or ``src``; the elements — an index array, or a ``slice`` for
+    a contiguous span — index that slot's array flattened in C order,
+    and both selections of a segment have the same length.
+    ``dst_sizes``/``src_sizes`` give each slot's element count; every
+    row is checked against them here, so a call never writes or reads
+    out of bounds (the arrays must be C-contiguous float64 of those
+    sizes).
+
+    With the shared object a call is one ``repro_copy_table`` over all
+    rows.  Without it (no C compiler; the library logs that once) a call
+    runs ``np.take(..., out=)`` or ``np.put`` per segment over the same
+    indices, which copies the same elements.
+    """
+
+    def __init__(self, segments, dst_sizes: Sequence[int], src_sizes: Sequence[int]):
+        self._segments = tuple(segments)
+        rows = np.empty((0, 4), dtype=np.intp)
+        if self._segments:
+            d, dsel, s, ssel = zip(*self._segments)
+            dsel = [_span(x) for x in dsel]
+            ssel = [_span(x) for x in ssel]
+            lengths = [len(x) for x in dsel]
+            if lengths != [len(x) for x in ssel]:
+                raise KernelLayoutError("copy segment selections differ in length")
+            rows = np.empty((sum(lengths), 4), dtype=np.intp)
+            rows[:, 0] = np.repeat(d, lengths)
+            rows[:, 1] = np.concatenate(dsel)
+            rows[:, 2] = np.repeat(s, lengths)
+            rows[:, 3] = np.concatenate(ssel)
+        for col, sizes in ((0, dst_sizes), (2, src_sizes)):
+            slots, elems = rows[:, col], rows[:, col + 1]
+            sizes = np.asarray(sizes, dtype=np.intp)
+            if len(rows) and (
+                slots.min() < 0 or slots.max() >= len(sizes)
+                or elems.min() < 0 or np.any(elems >= sizes[slots])
+            ):
+                raise KernelLayoutError("copy table indexes outside its arrays")
+        self._rows = rows
+        self._rows_ptr = rows.ctypes.data
+        #: Elements one call copies.
+        self.elements = len(rows)
+        try:
+            self._fn = _LIBRARY.function(COPY_SYMBOL)
+        except KernelBuildError:
+            self._fn = None
+
+    def __call__(self, dst, src) -> None:
+        """Copy every row from ``src`` to ``dst`` (two
+        :class:`AddressTable`-like objects: ``.ptr`` and ``.arrays``)."""
+        if self._fn is not None:
+            self._fn(dst.ptr, src.ptr, self._rows_ptr, self.elements)
+            return
+        for d, dsel, s, ssel in self._segments:
+            to = dst.arrays[d].reshape(-1)
+            source = src.arrays[s].reshape(-1)
+            if isinstance(dsel, slice):
+                np.take(source, ssel, out=to[dsel])
+            else:
+                np.put(to, dsel, source[ssel])
 
 
 @allocation_free(

@@ -121,11 +121,13 @@ def channel_with_obstacle(
             sl[flow_axis] = -1
             face = d[tuple(sl)]
             face[(face == fl.FLUID) | (face == fl.OUTSIDE)] = fl.PRESSURE_BC
-        # Obstacle (global -> block-local interior coordinates).
-        origin = gi * cells_a
+        # Obstacle (global -> block-local padded coordinates).  The
+        # ghost layer is marked too: it mirrors the neighbor's interior,
+        # which fluid cells pull from and bounce back against.
+        origin = gi * cells_a - 1
         lo = np.maximum(obstacle_lo - origin, 0)
-        hi = np.minimum(obstacle_hi - origin, cells_a)
+        hi = np.minimum(obstacle_hi - origin, cells_a + 2)
         if np.all(hi > lo):
-            ff.interior[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = fl.NO_SLIP
+            d[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = fl.NO_SLIP
 
     return setter

@@ -121,7 +121,7 @@ class TestCoalescedPlan:
             pos = 0
             for seg in msg.segments:
                 assert seg.start == pos
-                assert seg.stop - seg.start == int(np.prod(seg.shape))
+                assert seg.stop - seg.start == len(seg.index)
                 pos = seg.stop
             assert pos == msg.elements
             assert msg.nbytes == msg.elements * 8
@@ -169,15 +169,6 @@ class TestCoalescedPlan:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             _dense_sim("bulk")
-
-    def test_filtered_requires_per_face(self):
-        with pytest.raises(ConfigurationError):
-            DistributedSimulation(
-                _dense_forest(),
-                TRT.from_tau(0.65),
-                filtered_communication=True,
-                comm_mode="coalesced",
-            )
 
 
 class TestBitIdentityAcrossModes:

@@ -1,5 +1,5 @@
-"""Tests for the AoS-layout kernel and direction-filtered communication
-(the ablation machinery)."""
+"""Tests for the AoS-layout kernel and the ghost-direction filter behind
+the fluid-pruned exchange (the ablation machinery)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from repro import flagdefs as fl
 from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest
-from repro.comm import DistributedSimulation
+from repro.comm import DistributedSimulation, GhostExchange, build_rank_plan
 from repro.comm.ghostlayer import needed_directions
 from repro.lbm import D3Q19, D3Q27, NoSlip, SRT, TRT
 from repro.lbm.kernels import make_kernel
@@ -83,6 +83,8 @@ class TestNeededDirections:
 
 class TestFilteredSimulation:
     def test_bit_identical_with_sparse_geometry(self):
+        """The driver's fluid-pruned exchange against full 19-direction
+        regions (plans built without FLUID masks)."""
         from repro.geometry import CapsuleTreeGeometry, CoronaryTree
 
         tree = CoronaryTree.generate(generations=3, seed=5)
@@ -91,15 +93,23 @@ class TestFilteredSimulation:
             geom.aabb(), (2, 2, 2), (8, 8, 8), geometry=geom
         )
         balance_forest(forest, 2, strategy="round_robin")
-        sims = []
-        for filt in (False, True):
-            sim = DistributedSimulation(
-                forest, TRT.from_tau(0.8), geometry=geom,
-                boundaries=[NoSlip()], filtered_communication=filt,
+
+        def build():
+            return DistributedSimulation(
+                forest, TRT.from_tau(0.8), geometry=geom, boundaries=[NoSlip()],
             )
-            sim.run(8)
-            sims.append(sim)
-        a = sims[0].gather_density()
-        b = sims[1].gather_density()
+
+        pruned = build().run(8)
+        full = build()
+        exchange = GhostExchange(
+            [build_rank_plan(v, v.rank) for v in full.views], full.fields
+        )
+        for _ in range(8):
+            exchange.exchange()
+            full.stepper.boundary()
+            full.stepper.kernel()
+            full.stepper.swap()
+        a = full.gather_density()
+        b = pruned.gather_density()
         assert np.nanmax(np.abs(a - b)) == 0.0
-        assert sims[1].comm_stats.total_bytes < sims[0].comm_stats.total_bytes / 3
+        assert pruned.comm_stats.total_bytes < exchange.stats.total_bytes / 3

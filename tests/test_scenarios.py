@@ -132,6 +132,34 @@ class TestChannelWithObstacle:
         u = sim.gather_velocity()
         assert np.nanmean(u[..., 0]) > 0  # net downstream flow
 
+    def test_face_spanning_obstacle_matches_single_block(self):
+        # The obstacle crosses the x=8 block face: fluid cells diagonal
+        # to it pull from the neighbor's obstacle cells through the
+        # ghost layer, which must therefore be flagged as wall too.
+        bcs = [NoSlip(), UBB(velocity=(0.03, 0, 0)), PressureABB(rho_w=1.0)]
+        lo, hi = (6, 3, 3), (10, 5, 5)
+        forest = SetupBlockForest.create(
+            AABB((0, 0, 0), (2, 1, 1)), (2, 1, 1), (8, 8, 8)
+        )
+        balance_forest(forest, 2, strategy="round_robin")
+        sim = DistributedSimulation(
+            forest, TRT.from_tau(0.7),
+            flag_setter=channel_with_obstacle((2, 1, 1), (8, 8, 8), lo, hi),
+            boundaries=bcs,
+        )
+        sim.run(20)
+        ref = Simulation(cells=(16, 8, 8), collision=TRT.from_tau(0.7))
+        ref.flags.fill(fl.FLUID)
+        channel_with_obstacle((1, 1, 1), (16, 8, 8), lo, hi)(
+            _FakeBlock((0, 0, 0)), ref.flags
+        )
+        for bc in bcs:
+            ref.add_boundary(bc)
+        ref.finalize()
+        ref.run(20)
+        assert np.nanmax(np.abs(ref.velocity() - sim.gather_velocity())) == 0.0
+        assert np.nanmax(np.abs(ref.density() - sim.gather_density())) == 0.0
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             channel_with_obstacle((2, 1, 1), (8, 8, 8), (5, 5, 5), (5, 6, 6))
