@@ -16,8 +16,10 @@ core (and pay dispatch overhead for the privilege).  The engine
 therefore accounts, per round, each worker's busy *CPU* seconds
 (``time.thread_time``) and accumulates the per-round ``max`` over
 workers as ``exec.critical_path_seconds``: the time the round would
-take if every worker owned a hardware thread.  The headline ``mlups``
-of this ladder is the **critical-path MLUPS**
+take if every worker owned a hardware thread.  Both engine rounds of
+a step count: the kernel round and the boundary round (the one block's
+boundary handler is one task, so its serial time is on every rung).
+The headline ``mlups`` of this ladder is the **critical-path MLUPS**
 
     cells * steps / critical_path_seconds / 1e6
 
@@ -115,7 +117,7 @@ def _measure(workers: int, kernel=LADDER_TIER, best_by="mlups") -> dict:
         row = {
             "workers": workers,
             "kernel": sim.kernel_name,
-            "tasks_per_step": len(sim._kernel_tasks),
+            "tasks_per_step": len(sim.stepper.kernel_tasks),
             "mlups": updates / cp / 1e6 if cp > 0 else 0.0,
             "wall_mlups": updates / wall / 1e6,
             "critical_path_seconds": cp,

@@ -300,6 +300,17 @@ def _cmd_lint(args) -> int:
     return 0 if result.ok else 1
 
 
+def _resume(sim, args) -> int:
+    """Apply the restart and checkpoint flags; returns the steps done."""
+    done = 0
+    if args.restart:
+        done = sim.restart(args.checkpoint)
+        print(f"restarted from {args.checkpoint} at step {done}")
+    if args.checkpoint_every:
+        sim.enable_checkpointing(args.checkpoint, args.checkpoint_every)
+    return done
+
+
 def _cmd_cavity(args) -> int:
     import numpy as np
 
@@ -321,12 +332,7 @@ def _cmd_cavity(args) -> int:
     sim.add_boundary(NoSlip())
     sim.add_boundary(UBB(velocity=(0.08, 0.0, 0.0)))
     sim.finalize()
-    done = 0
-    if args.restart:
-        done = sim.restart(args.checkpoint)
-        print(f"restarted from {args.checkpoint} at step {done}")
-    if args.checkpoint_every:
-        sim.enable_checkpointing(args.checkpoint, args.checkpoint_every)
+    done = _resume(sim, args)
     sim.run(max(0, args.steps - done))
     extra = f", {workers} workers" if workers > 1 else ""
     print(
@@ -374,12 +380,7 @@ def _cmd_coronary(args) -> int:
         comm_mode=getattr(args, "comm_mode", "per-face"),
         workers=getattr(args, "workers", 1),
     )
-    done = 0
-    if args.restart:
-        done = sim.restart(args.checkpoint)
-        print(f"restarted from {args.checkpoint} at step {done}")
-    if args.checkpoint_every:
-        sim.enable_checkpointing(args.checkpoint, args.checkpoint_every)
+    done = _resume(sim, args)
     steps = max(0, args.steps - done)
     t0 = time.perf_counter()
     sim.run(steps)

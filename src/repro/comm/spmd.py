@@ -36,8 +36,9 @@ from .. import flagdefs as fl
 from ..blocks.forest import LocalBlock, view_for_rank
 from ..blocks.setup import SetupBlockForest
 from ..core.flags import FlagField
+from ..core.stepper import BlockRuntime, RankStepper
 from ..errors import CommunicationError, ConfigurationError
-from ..exec import make_engine
+from ..exec import make_engine, resolve_exec_mode
 from ..geometry.implicit import ImplicitGeometry
 from ..geometry.voxelize import ColorMap
 from ..lbm.boundary import Condition
@@ -45,7 +46,7 @@ from ..lbm.collision import SRT, TRT
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..perf.timing import TimingTree
 from .buffersystem import COMM_MODES, BufferSystem
-from .distributed import BlockRuntime, RankStepper, build_block_runtime
+from .distributed import build_block_runtime
 from .ghostlayer import SpmdGhostExchange, build_rank_plan
 from .vmpi import Comm, ReliableComm, VirtualMPI
 
@@ -134,8 +135,8 @@ def spmd_rank_program(
     configurations: ``a`` virtual MPI ranks each driving ``b`` worker
     threads.  Work items are whole blocks, or interior slabs of dense
     blocks when the rank owns fewer blocks than workers (see
-    :class:`~repro.comm.distributed.RankStepper`, which runs the
-    boundary, kernel and swap sweeps).  Results are bit-identical for
+    :class:`~repro.core.stepper.RankStepper`, which gives the step's
+    sweeps).  Results are bit-identical for
     every (exec_mode, workers) choice.  ``None`` selects ``"threads"``
     when ``workers > 1``.
 
@@ -168,6 +169,9 @@ def spmd_rank_program(
         raise ConfigurationError(
             f"comm_mode must be one of {COMM_MODES}, got {comm_mode!r}"
         )
+    # Validates exec_mode / workers before any block is built; the pool
+    # threads start on the first round.
+    engine = make_engine(exec_mode, workers, tree)
     view = view_for_rank(forest, comm.rank)
     runtimes: Dict[object, BlockRuntime] = {
         blk.id: build_block_runtime(
@@ -203,12 +207,9 @@ def spmd_rank_program(
     def scope(name: str):
         return tree.scoped(name) if tree is not None else nullcontext()
 
-    # Intra-rank sweep engine (the aPbT thread axis) and the per-block
-    # boundary / kernel / swap sweeps it runs.
-    if exec_mode is None:
-        exec_mode = "threads" if workers > 1 else "serial"
-    engine = make_engine(exec_mode, workers, tree)
-    stepper = RankStepper(runtimes, engine, tree)
+    # The rank step: the exchange, then the per-block sweeps on the
+    # intra-rank engine (the aPbT thread axis).
+    sweeps = RankStepper(runtimes, engine, tree).sweeps(exchange.exchange)
 
     start_step = 0
     if restore_from is not None:
@@ -221,16 +222,9 @@ def spmd_rank_program(
                 channel.begin_step(step)
             else:
                 comm.fault_tick(step)
-            # 1. communication: fire all sends, then drain the recvs.
-            with scope("communication"):
-                exchange.exchange()
-            # 2./3./4. boundary handling, kernel, swap.
-            with scope("boundary"):
-                stepper.boundary()
-            with scope("kernel"):
-                stepper.kernel()
-            with scope("swap"):
-                stepper.swap()
+            for name, sweep in sweeps:
+                with scope(name):
+                    sweep()
             # Periodic checkpoint: collective gather + atomic rank-0 write.
             if checkpoint_every > 0 and (step + 1) % checkpoint_every == 0:
                 with scope("checkpoint"):
@@ -295,6 +289,7 @@ def run_spmd_simulation(
         raise ConfigurationError(
             f"comm_mode must be one of {COMM_MODES}, got {comm_mode!r}"
         )
+    exec_mode = resolve_exec_mode(exec_mode, workers)
     if world.size != forest.n_processes:
         raise CommunicationError(
             f"world size {world.size} != forest processes {forest.n_processes}"

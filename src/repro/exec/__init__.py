@@ -31,6 +31,7 @@ from .engine import (
     SweepTask,
     ThreadedEngine,
     make_engine,
+    resolve_exec_mode,
 )
 from .partition import kernel_tasks, slab_boxes, slabs_per_block
 
@@ -42,6 +43,7 @@ __all__ = [
     "ThreadedEngine",
     "kernel_tasks",
     "make_engine",
+    "resolve_exec_mode",
     "slab_boxes",
     "slabs_per_block",
 ]

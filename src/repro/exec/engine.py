@@ -53,6 +53,7 @@ __all__ = [
     "SerialEngine",
     "ThreadedEngine",
     "make_engine",
+    "resolve_exec_mode",
 ]
 
 #: The execution strategies a driver can request.
@@ -380,19 +381,31 @@ class ThreadedEngine(ExecutionEngine):
 
 
 def make_engine(
-    exec_mode: str, workers: int = 1, tree: Optional[TimingTree] = None
+    exec_mode: Optional[str], workers: int = 1, tree: Optional[TimingTree] = None
 ) -> ExecutionEngine:
-    """Build the engine for ``exec_mode`` (one of :data:`EXEC_MODES`).
+    """Build the engine for ``exec_mode`` (one of :data:`EXEC_MODES`,
+    or ``None`` for the default of :func:`resolve_exec_mode`).
 
-    ``"serial"`` ignores ``workers`` and runs inline;  ``"threads"``
+    ``"serial"`` runs inline on one worker;  ``"threads"``
     builds a :class:`ThreadedEngine` with a pool of ``workers``
     persistent threads (``workers=1`` is a valid single-worker pool —
     useful for isolating dispatch overhead).
     """
+    if resolve_exec_mode(exec_mode, workers) == "serial":
+        return SerialEngine(tree)
+    return ThreadedEngine(workers, tree)
+
+
+def resolve_exec_mode(exec_mode: Optional[str], workers: int) -> str:
+    """Validate an ``exec_mode`` / ``workers`` pair and resolve the
+    ``None`` default: ``"threads"`` when ``workers > 1``, else
+    ``"serial"``.  Raises :class:`~repro.errors.ConfigurationError`."""
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if exec_mode is None:
+        return "threads" if workers > 1 else "serial"
     if exec_mode not in EXEC_MODES:
         raise ConfigurationError(
             f"exec_mode must be one of {EXEC_MODES}, got {exec_mode!r}"
         )
-    if exec_mode == "serial":
-        return SerialEngine(tree)
-    return ThreadedEngine(workers, tree)
+    return exec_mode

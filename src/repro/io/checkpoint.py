@@ -181,24 +181,18 @@ def _rng_state_load(rng: Optional[np.random.Generator], state: Optional[str]) ->
 # Simulation-level wrappers
 # ---------------------------------------------------------------------------
 def _sim_arrays(sim) -> Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-block (pdf_src, pdf_dst, flags) views of a simulation.
-
-    Handles both the multi-block driver (``.fields``/``.flags`` dicts)
-    and the single-block :class:`~repro.core.simulation.Simulation`
-    (``.pdfs``/``.flags``).
-    """
-    if hasattr(sim, "fields"):
-        out = {}
-        for block_id, field in sim.fields.items():
-            flags = sim.flags[block_id].data if hasattr(sim, "flags") else None
-            out[_block_key(block_id)] = (field.src, field.dst, flags)
-        return out
-    if hasattr(sim, "pdfs"):
-        if sim.pdfs is None:
-            raise ReproError("simulation must be finalized before checkpointing")
-        flags = sim.flags.data if hasattr(sim, "flags") else None
-        return {"0": (sim.pdfs.src, sim.pdfs.dst, flags)}
-    raise ReproError(f"cannot checkpoint object of type {type(sim).__name__}")
+    """Per-block (pdf_src, pdf_dst, flags) views of a driver's
+    ``stepper.runtimes`` (see :class:`~repro.core.stepper.RankDriver`;
+    the single-block :class:`~repro.core.simulation.Simulation` is one
+    block, key ``"0"``)."""
+    if getattr(sim, "stepper", None) is None:
+        raise ReproError(
+            f"cannot checkpoint {type(sim).__name__}: not finalized, or not a driver"
+        )
+    return {
+        _block_key(block_id): (rt.field.src, rt.field.dst, rt.flags.data)
+        for block_id, rt in sim.stepper.runtimes.items()
+    }
 
 
 def save_checkpoint(
@@ -225,24 +219,26 @@ def _load_v1(sim, data) -> int:
     version, steps, n_blocks = (int(v) for v in data[_META_KEY])
     if version != 1:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    if n_blocks != len(sim.fields):
+    views = _sim_arrays(sim)
+    if n_blocks != len(views):
         raise CheckpointError(
-            f"checkpoint has {n_blocks} blocks, simulation has "
-            f"{len(sim.fields)}"
+            f"checkpoint has {n_blocks} blocks, simulation has {len(views)}"
         )
-    for block_id, field in sim.fields.items():
-        key = _block_key(block_id)
+    for key, (src, dst, _flags) in views.items():
         if key not in data:
             raise CheckpointError(f"checkpoint lacks block {key}")
-        arr = data[key]
-        if arr.shape != field.src.shape:
-            raise CheckpointError(
-                f"block {key}: checkpoint shape {arr.shape} != "
-                f"field shape {field.src.shape}"
-            )
-        field.src[...] = arr
-        field.dst[...] = arr
+        _restore_pdfs(key, data[key], src, dst)
     return steps
+
+
+def _restore_pdfs(key: str, arr: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    if arr.shape != src.shape:
+        raise CheckpointError(
+            f"block {key}: checkpoint shape {arr.shape} != "
+            f"field shape {src.shape}"
+        )
+    src[...] = arr
+    dst[...] = arr
 
 
 def load_checkpoint(
@@ -281,14 +277,7 @@ def load_checkpoint(
             f"{sorted(views)}"
         )
     for key, (src, dst, flags) in views.items():
-        arr = arrays[f"pdf:{key}"]
-        if arr.shape != src.shape:
-            raise CheckpointError(
-                f"block {key}: checkpoint shape {arr.shape} != "
-                f"field shape {src.shape}"
-            )
-        src[...] = arr
-        dst[...] = arr
+        _restore_pdfs(key, arrays[f"pdf:{key}"], src, dst)
         fkey = f"flags:{key}"
         if flags is not None and fkey in arrays:
             farr = arrays[fkey]

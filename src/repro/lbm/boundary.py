@@ -149,14 +149,18 @@ class BoundaryHandling:
         vel = self.model.velocities[1:].astype(np.int64)
         offsets = vel @ _strides(padded)
         inverse = np.asarray(self.model.inverse)[1:]
-        # The fluid mask embedded in one more layer of non-fluid cells:
-        # there the neighbour w + e_a of any padded cell w is in range
-        # and is fluid only if it lies inside the padded block, so one
-        # flat offset per direction finds the links.  Fluid cells must be
-        # interior; pulls from any wall cell (interior or ghost) are legal.
+        # The interior fluid mask embedded in two layers of non-fluid
+        # cells (the ghost layer and one more): there the neighbour
+        # w + e_a of any padded cell w is in range and is fluid only if
+        # it is an interior fluid cell, so one flat offset per direction
+        # finds the links.  Fluid cells must be interior: only they are
+        # updated, so a link into a FLUID ghost cell would write a value
+        # nobody pulls.  Pulls from any wall cell (interior or ghost) are
+        # legal.
         wide_shape = tuple(s + 2 for s in padded)
         wide_fluid = np.zeros(wide_shape, dtype=bool)
-        wide_fluid[(slice(1, -1),) * dim] = (data & fl.FLUID) != 0
+        inner = (slice(1, -1),) * dim
+        wide_fluid[(slice(2, -2),) * dim] = (data[inner] & fl.FLUID) != 0
         wide_fluid = wide_fluid.ravel()
         wide_offsets = vel @ _strides(wide_shape)
         for i, cond in enumerate(self.conditions):

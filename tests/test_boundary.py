@@ -43,6 +43,34 @@ class TestLinkConstruction:
         bh = BoundaryHandling(D3Q19, ff, [NoSlip()])
         assert bh.link_count == 0
 
+    def test_links_pull_only_from_interior_fluid(self):
+        # Two dense blocks (FLUID ghost layers) with a wall layer that
+        # touches their shared face: a wall cell beside the face must not
+        # link to the neighbour's fluid mirrored in the ghost layer, since
+        # only interior cells are updated and pull the linked values.
+        from repro.balance import balance_forest
+        from repro.blocks import SetupBlockForest
+        from repro.comm import DistributedSimulation
+        from repro.geometry import AABB
+
+        def wall(blk, ff):
+            ff.data[:, :, 1] = fl.NO_SLIP
+
+        cells = (4, 4, 4)
+        forest = SetupBlockForest.create(
+            AABB((0, 0, 0), (2, 1, 1)), (2, 1, 1), cells
+        )
+        balance_forest(forest, 2, strategy="round_robin")
+        sim = DistributedSimulation(forest, SRT(0.8), flag_setter=wall)
+        padded = tuple(c + 2 for c in cells)
+        for rt in sim.runtimes.values():
+            assert rt.handler.link_count > 0
+            for links in rt.handler._links:
+                coords = np.unravel_index(links.fluid % np.prod(padded), padded)
+                for axis, c in enumerate(coords):
+                    assert c.min() >= 1 and c.max() <= cells[axis]
+        sim.close()
+
     def test_duplicate_flag_rejected(self):
         ff = FlagField((2, 2, 2))
         ff.fill(fl.FLUID)

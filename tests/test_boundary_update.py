@@ -157,15 +157,15 @@ class TestReplaceCondition:
     def test_conditions_cannot_be_assigned_in_place(self):
         sim, lid = lid_sim()
         with pytest.raises(TypeError):
-            sim._bh.conditions[1] = self.NEW
+            sim.stepper.runtimes[0].handler.conditions[1] = self.NEW
 
     def test_inactive_condition_reports_false(self):
         sim, _ = lid_sim()
-        assert sim._bh.replace_condition(self.NEW, self.OLD) is False
+        assert sim.stepper.runtimes[0].handler.replace_condition(self.NEW, self.OLD) is False
         with pytest.raises(ConfigurationError):
-            sim._bh.replace_condition(self.OLD, PressureABB(rho_w=1.0))
+            sim.stepper.runtimes[0].handler.replace_condition(self.OLD, PressureABB(rho_w=1.0))
         with pytest.raises(ConfigurationError):
-            sim._bh.replace_condition(
+            sim.stepper.runtimes[0].handler.replace_condition(
                 UBB(velocity=(0.05, 0.0, 0.0)), UBB(velocity=(0.1, 0.0))
             )
 

@@ -420,7 +420,7 @@ class TestDeterminismDense:
         sim = _cavity_sim(workers)
         sim.run(self.STEPS)
         # The single large block really was slab-split.
-        assert len(sim._kernel_tasks) == workers
+        assert len(sim.stepper.kernel_tasks) == workers
         assert np.array_equal(sim.pdfs.src, baseline)
         sim.close()
 

@@ -21,7 +21,8 @@ from repro.comm import (
     VirtualMPI,
     run_spmd_simulation,
 )
-from repro.errors import CommunicationError, PartitioningError
+from repro.comm import spmd
+from repro.errors import CommunicationError, ConfigurationError, PartitioningError
 from repro.geometry import AABB, CapsuleTreeGeometry, CoronaryTree
 from repro.lbm import NoSlip, PressureABB, TRT, UBB
 
@@ -124,6 +125,26 @@ class TestSpmdSimulation:
         balance_forest(forest, 2, strategy="round_robin")
         with pytest.raises(CommunicationError):
             run_spmd_simulation(VirtualMPI(3, timeout=10), forest, TRT.from_tau(0.8), 1)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"exec_mode": "bogus"}, {"workers": 0}], ids=["mode", "workers"]
+    )
+    def test_bad_exec_config_rejected_before_any_rank_starts(
+        self, kwargs, monkeypatch
+    ):
+        forest = SetupBlockForest.create(
+            AABB((0, 0, 0), (2, 1, 1)), (2, 1, 1), (4, 4, 4)
+        )
+        balance_forest(forest, 2, strategy="round_robin")
+        started = []
+        monkeypatch.setattr(
+            spmd, "spmd_rank_program", lambda comm, *a, **k: started.append(comm.rank) or {}
+        )
+        with pytest.raises(ConfigurationError):
+            run_spmd_simulation(
+                VirtualMPI(2, timeout=10), forest, TRT.from_tau(0.8), 1, **kwargs
+            )
+        assert started == []
 
 
 class TestParallelSetup:
